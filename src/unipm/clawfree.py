@@ -9,7 +9,6 @@ at most once.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 from .graph import Graph, Matching, connected_components
@@ -57,23 +56,12 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
     if live % 2:
         raise ValueError("odd number of live vertices")
     n = len(adj)
-    # flatten adjacency into a compact int array: the cursor loop is
-    # pure pointer-chasing, and packed storage keeps the working set
-    # cache-resident an order of magnitude longer than list-of-lists
-    starts = array("l", bytes(8 * (n + 1)))
-    total = 0
-    for i, a in enumerate(adj):
-        starts[i] = total
-        total += len(a)
-    starts[n] = total
-    flat = array("i")
-    for a in adj:
-        flat.extend(a)
-    removed = bytearray(n)
-    for i, r in enumerate(g.removed):
-        if r:
-            removed[i] = 1
-    cursor = array("l", starts[:n])
+    removed = bytearray(g.removed)
+    # cursors step over dead entries too, so the advances are bounded by
+    # the list lengths of the live vertices: 2m when none is removed
+    bound = 2 * g.edge_count if live == n else sum(
+        len(adj[u]) for u in range(n) if not removed[u])
+    cursor = [0] * n
     pos = [-1] * n
     lm_nb = [-1] * n
     path: list[int] = []
@@ -88,11 +76,12 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
             while lowest < n and removed[lowest]:
                 lowest += 1
             u = lowest
+            nbrs = adj[u]
             cu = cursor[u]
-            end = starts[u + 1]
+            end = len(nbrs)
             v = -1
             while cu < end:
-                w = flat[cu]
+                w = nbrs[cu]
                 if removed[w]:
                     cu += 1
                     advances += 1
@@ -110,11 +99,12 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
         while True:
             uk = path[-1]
             # end-extension: first cursor-scanned live off-path neighbor
+            nbrs = adj[uk]
             cu = cursor[uk]
-            end = starts[uk + 1]
+            end = len(nbrs)
             v = -1
             while cu < end:
-                w = flat[cu]
+                w = nbrs[cu]
                 if removed[w] or pos[w] >= 0:
                     cu += 1
                     advances += 1
@@ -133,8 +123,7 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
             if lm_nb[uk] == -1:
                 # first computation: O(deg) via path positions
                 hits = set()
-                for idx in range(starts[uk], end):
-                    w = flat[idx]
+                for w in nbrs:
                     lm_updates += 1
                     if not removed[w] and pos[w] >= 0:
                         hits.add(pos[w])
@@ -144,11 +133,12 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
                 lm_nb[uk] = run
             if lm_nb[uk] >= 2:
                 um = path[-2]
+                nbrs = adj[um]
                 cu = cursor[um]
-                end = starts[um + 1]
+                end = len(nbrs)
                 v = -1
                 while cu < end:
-                    w = flat[cu]
+                    w = nbrs[cu]
                     if removed[w] or pos[w] >= 0:
                         cu += 1
                         advances += 1
@@ -192,7 +182,7 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
         stats.reseeds += reseeds
         stats.commits += len(pairs)
         stats.edge_count += g.edge_count
-    assert advances <= 2 * g.edge_count, "cursor advances exceed 2m"
+    assert advances <= bound, "cursor advances exceed the live list lengths"
     return Matching(pairs)
 
 

@@ -47,12 +47,11 @@ def _load_graph(path: str) -> Graph:
     return parse_graph(_read_file(path))
 
 
-def _print_matching(m) -> None:
-    sys.stdout.write(format_matching(m))
-
-
-def _print_witness(witness) -> None:
-    _emit("witness", " ".join(map(str, witness.cycle)))
+def _header(algorithm: str, path: str, g: Graph) -> None:
+    _emit("algorithm", algorithm)
+    _emit("instance", path)
+    _emit("n", g.live_count)
+    _emit("m", g.edge_count)
 
 
 def _seed_from(args) -> int:
@@ -62,61 +61,52 @@ def _seed_from(args) -> int:
     return args.seed
 
 
+# the proof behind each method that settles uniqueness before the verifier runs
+_PROOFS = {"forcing": "forcing certificate", "oracle": "oracle count"}
+
+
+def _verdict(g: Graph, start: float, method: str, matching=None,
+             reason: str | None = None, settled: bool | None = None) -> int:
+    """Verify a candidate perfect matching, print the verdict, return the
+    exit code.
+
+    ``matching`` is None when ``reason`` says why there is none.
+    ``settled`` is the uniqueness the method has already proved, which
+    the verifier must confirm.
+    """
+    witness = None if matching is None else is_unique_pm(g, matching)
+    unique = matching is not None and witness is None
+    if settled is not None and settled != unique:
+        raise RuntimeError(f"{_PROOFS[method]} contradicts verifier")
+    _emit("method", method)
+    _emit("verdict", "unique" if unique else "not-unique")
+    if reason is not None:
+        _emit("reason", reason)
+    _emit("elapsed_s", f"{time.perf_counter() - start:.6f}")
+    if witness is not None:
+        _emit("witness", " ".join(map(str, witness.cycle)))
+    elif matching is not None:
+        sys.stdout.write(format_matching(matching))
+    return EXIT_OK if unique else EXIT_NOT_UNIQUE
+
+
 def _cmd_check(args) -> int:
     g = _load_graph(args.file)
-    _emit("algorithm", "check")
-    _emit("instance", args.file)
-    _emit("n", g.live_count)
-    _emit("m", g.edge_count)
+    _header("check", args.file, g)
     start = time.perf_counter()
     cert = find_forcing_set(g)
     if cert is not None:
-        witness = is_unique_pm(g, cert.matching)
-        if witness is not None:  # forcing success always implies uniqueness
-            raise RuntimeError("forcing certificate contradicts verifier")
-        _emit("method", "forcing")
-        _emit("verdict", "unique")
-        _emit("elapsed_s", f"{time.perf_counter() - start:.6f}")
-        _print_matching(cert.matching)
-        return EXIT_OK
-    claw = find_claw(g)
-    if claw is None:
+        return _verdict(g, start, "forcing", cert.matching, settled=True)
+    if find_claw(g) is None:
         if g.live_count % 2 or any(len(c) % 2 for c in connected_components(g)):
-            _emit("method", "clawfree")
-            _emit("verdict", "not-unique")
-            _emit("reason", "odd-order component has no perfect matching")
-            _emit("elapsed_s", f"{time.perf_counter() - start:.6f}")
-            return EXIT_NOT_UNIQUE
-        m = pmincf(g)
-        witness = is_unique_pm(g, m)
-        _emit("method", "clawfree")
-        if witness is None:
-            _emit("verdict", "unique")
-            _emit("elapsed_s", f"{time.perf_counter() - start:.6f}")
-            _print_matching(m)
-            return EXIT_OK
-        _emit("verdict", "not-unique")
-        _emit("elapsed_s", f"{time.perf_counter() - start:.6f}")
-        _print_witness(witness)
-        return EXIT_NOT_UNIQUE
+            return _verdict(g, start, "clawfree",
+                            reason="odd-order component has no perfect matching")
+        return _verdict(g, start, "clawfree", pmincf(g))
     if g.live_count <= args.oracle_cap:
         pms = enumerate_pms(g, 2)
-        _emit("method", "oracle")
-        if len(pms) == 1:
-            witness = is_unique_pm(g, pms[0])
-            if witness is not None:
-                raise RuntimeError("oracle count contradicts verifier")
-            _emit("verdict", "unique")
-            _emit("elapsed_s", f"{time.perf_counter() - start:.6f}")
-            _print_matching(pms[0])
-            return EXIT_OK
-        _emit("verdict", "not-unique")
         if not pms:
-            _emit("reason", "no perfect matching")
-        else:
-            _print_witness(is_unique_pm(g, pms[0]))
-        _emit("elapsed_s", f"{time.perf_counter() - start:.6f}")
-        return EXIT_NOT_UNIQUE
+            return _verdict(g, start, "oracle", reason="no perfect matching")
+        return _verdict(g, start, "oracle", pms[0], settled=len(pms) == 1)
     _emit("method", "none")
     _emit("verdict", "undecided-class")
     _emit("reason", f"graph has a claw and more than {args.oracle_cap} vertices")
@@ -125,49 +115,32 @@ def _cmd_check(args) -> int:
 
 def _cmd_force(args) -> int:
     g = _load_graph(args.file)
-    _emit("algorithm", "force")
-    _emit("instance", args.file)
-    _emit("n", g.live_count)
-    _emit("m", g.edge_count)
+    _header("force", args.file, g)
     cert = find_forcing_set(g)
     if cert is None:
         print("NO FORCING SET")
         return EXIT_NOT_UNIQUE
     _emit("verdict", "unique")
     _emit("forcing_order", " ".join(f"{u},{v}" for u, v in cert.forced))
-    _print_matching(cert.matching)
+    sys.stdout.write(format_matching(cert.matching))
     return EXIT_OK
 
 
 def _cmd_interval(args) -> int:
     rep = parse_intervals(_read_file(args.file))
     g = intersection_graph(rep)
-    _emit("algorithm", "interval")
-    _emit("instance", args.file)
-    _emit("n", g.live_count)
-    _emit("m", g.edge_count)
+    _header("interval", args.file, g)
+    start = time.perf_counter()
     try:
         m = interval_pm(rep)
     except IntervalPMError as exc:
-        _emit("verdict", "not-unique")
-        _emit("reason", str(exc))
-        return EXIT_NOT_UNIQUE
-    witness = is_unique_pm(g, m)
-    if witness is None:
-        _emit("verdict", "unique")
-        _print_matching(m)
-        return EXIT_OK
-    _emit("verdict", "not-unique")
-    _print_witness(witness)
-    return EXIT_NOT_UNIQUE
+        return _verdict(g, start, "interval", reason=str(exc))
+    return _verdict(g, start, "interval", m)
 
 
 def _cmd_clawfree(args) -> int:
     g = _load_graph(args.file)
-    _emit("algorithm", "clawfree")
-    _emit("instance", args.file)
-    _emit("n", g.live_count)
-    _emit("m", g.edge_count)
+    _header("clawfree", args.file, g)
     if args.check_claw:
         claw = find_claw(g)
         if claw is not None:
@@ -188,7 +161,7 @@ def _cmd_clawfree(args) -> int:
         _emit("cursor_advances", stats.cursor_advances)
         _emit("lm_nb_updates", stats.lm_nb_updates)
         _emit("reseeds", stats.reseeds)
-    _print_matching(m)
+    sys.stdout.write(format_matching(m))
     return EXIT_OK
 
 
@@ -244,10 +217,7 @@ def _cmd_replay(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _load_graph(args.file)
-    _emit("algorithm", "oracle")
-    _emit("instance", args.file)
-    _emit("n", g.live_count)
-    _emit("m", g.edge_count)
+    _header("oracle", args.file, g)
     pms = enumerate_pms(g, args.cap)
     _emit("pm_count", len(pms))
     _emit("cap_reached", "true" if len(pms) >= args.cap else "false")

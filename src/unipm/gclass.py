@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, endblocks, is_connected, is_simplicial
+from .graph import (Graph, _non_adjacent_pair, endblocks, is_connected,
+                    is_simplicial)
 
 
 class OperationError(ValueError):
@@ -102,20 +103,16 @@ def _op2_violation(g: Graph, clique: tuple[int, ...]) -> str | None:
     for u in clique:
         if not g.is_live(u):
             return f"vertex {u} is removed"
-    for i, a in enumerate(clique):
-        aset = set(g.adjacency[a])
-        for b in clique[i + 1:]:
-            if b not in aset:
-                return f"vertices {a} and {b} in C are not adjacent"
+    pair = _non_adjacent_pair(g, clique)
+    if pair is not None:
+        return f"vertices {pair[0]} and {pair[1]} in C are not adjacent"
     removed = g.removed
     for u in clique:
-        outside = [w for w in g.adjacency[u] if not removed[w] and w not in cset]
-        for i, a in enumerate(outside):
-            aset = set(g.adjacency[a])
-            for b in outside[i + 1:]:
-                if b not in aset:
-                    return (f"vertex {u} in C has non-adjacent outside "
-                            f"neighbors {a} and {b}")
+        pair = _non_adjacent_pair(
+            g, [w for w in g.adjacency[u] if not removed[w] and w not in cset])
+        if pair is not None:
+            return (f"vertex {u} in C has non-adjacent outside "
+                    f"neighbors {pair[0]} and {pair[1]}")
     return None
 
 
@@ -329,9 +326,9 @@ def decompose(g: Graph) -> ConstructionTrace | None:
     Peels endblocks: a pendant-edge endblock inverts the clique
     operation (C = the cutvertex's other neighbors), a triangle
     endblock inverts the simplicial operation.  Fails (None) when the
-    order is odd, the graph is or becomes disconnected, some endblock
-    has 4 or more vertices, a recorded step's precondition does not
-    hold in the remainder, or the base is not a single edge.
+    order is odd, the graph is disconnected, some endblock has 4 or
+    more vertices, a recorded step's precondition does not hold in the
+    remainder, or the base is not a single edge.
     """
     if g.live_count == 0 or g.live_count % 2:
         return None
@@ -371,8 +368,10 @@ def decompose(g: Graph) -> ConstructionTrace | None:
             if not is_simplicial(work, u):
                 return None
             peeled.append(Op1Step(u, x, y))
-        if not is_connected(work):
-            return None
+        # The remainder stays connected once the peel's checks pass: op1
+        # removes two non-cut vertices of a triangle endblock, and after
+        # op2 removes x and its pendant y every remaining component
+        # touches C, which _op2_violation has just confirmed is a clique.
     steps: list[Step] = [init]
     steps.extend(reversed(peeled))
     return ConstructionTrace(tuple(steps))

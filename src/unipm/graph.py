@@ -9,7 +9,7 @@ across removals (the amortization the greedy matcher depends on).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphParseError(ValueError):
@@ -207,57 +207,47 @@ def parse_graph(text: str) -> Graph:
     Lines starting with '#' and blank lines are skipped.  Vertices are
     0-indexed.  Duplicate edge lines collapse to one edge.
     """
-    header: tuple[int, int] | None = None
-    g: Graph | None = None
-    seen: set[tuple[int, int]] = set()
-    edges_read = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise GraphParseError(f"malformed header at line {lineno}")
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphParseError(f"malformed header at line {lineno}") from None
-            if n < 0 or m < 0:
-                raise GraphParseError(f"negative count in header at line {lineno}")
-            header = (n, m)
-            g = Graph(n)
-            continue
-        n, m = header
-        if edges_read >= m:
-            raise GraphParseError(f"unexpected extra edge at line {lineno}")
-        if len(parts) != 2:
-            raise GraphParseError(f"malformed edge at line {lineno}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(f"malformed edge at line {lineno}") from None
-        for w in (u, v):
-            if not 0 <= w < n:
-                raise GraphParseError(f"vertex {w} out of range at line {lineno}")
-        if u == v:
-            raise GraphParseError(f"self-loop at line {lineno}")
-        edges_read += 1
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        assert g is not None
-        g.adjacency[u].append(v)
-        g.adjacency[v].append(u)
-        g.edge_count += 1
-    if header is None:
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            break
+    else:
         raise GraphParseError("missing header")
-    if edges_read != header[1]:
-        raise GraphParseError(
-            f"expected {header[1]} edges, found {edges_read}")
-    assert g is not None
-    return g
+    if len(parts) != 2:
+        raise GraphParseError(f"malformed header at line {lineno}")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphParseError(f"malformed header at line {lineno}") from None
+    if n < 0 or m < 0:
+        raise GraphParseError(f"negative count in header at line {lineno}")
+
+    def edges() -> Iterator[tuple[int, int]]:
+        edges_read = 0
+        for lineno, raw in lines:
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if edges_read >= m:
+                raise GraphParseError(f"unexpected extra edge at line {lineno}")
+            if len(parts) != 2:
+                raise GraphParseError(f"malformed edge at line {lineno}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphParseError(f"malformed edge at line {lineno}") from None
+            for w in (u, v):
+                if not 0 <= w < n:
+                    raise GraphParseError(f"vertex {w} out of range at line {lineno}")
+            if u == v:
+                raise GraphParseError(f"self-loop at line {lineno}")
+            edges_read += 1
+            yield u, v
+        if edges_read != m:
+            raise GraphParseError(f"expected {m} edges, found {edges_read}")
+
+    return Graph.from_edges(n, edges())
 
 
 def serialize_graph(g: Graph) -> str:
@@ -288,18 +278,23 @@ def find_claw(g: Graph) -> tuple[int, tuple[int, int, int]] | None:
     return None
 
 
+def _non_adjacent_pair(g: Graph, vertices: Sequence[int]) -> tuple[int, int] | None:
+    """First pair (a, b), a listed before b, of non-adjacent vertices."""
+    for i, a in enumerate(vertices[:-1]):
+        aset = set(g.adjacency[a])
+        for b in vertices[i + 1:]:
+            if b not in aset:
+                return a, b
+    return None
+
+
 def is_simplicial(g: Graph, u: int) -> bool:
     """True iff the live neighborhood of u is a clique."""
     if not g.is_live(u):
         raise ValueError(f"vertex {u} is removed")
     removed = g.removed
-    nbrs = [w for w in g.adjacency[u] if not removed[w]]
-    for i, a in enumerate(nbrs):
-        aset = set(g.adjacency[a])
-        for b in nbrs[i + 1:]:
-            if b not in aset:
-                return False
-    return True
+    return _non_adjacent_pair(
+        g, [w for w in g.adjacency[u] if not removed[w]]) is None
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
@@ -308,12 +303,7 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     for u in vs:
         if not g.is_live(u):
             raise ValueError(f"vertex {u} is removed")
-    for i, a in enumerate(vs):
-        aset = set(g.adjacency[a])
-        for b in vs[i + 1:]:
-            if b not in aset:
-                return False
-    return True
+    return _non_adjacent_pair(g, vs) is None
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -395,8 +385,6 @@ def blocks(g: Graph) -> tuple[list[set[int]], set[int]]:
     """
     if g.live_count < 2:
         raise ValueError("blocks need at least 2 live vertices")
-    if not is_connected(g):
-        raise ValueError("disconnected input")
     n = g.n_total
     removed = g.removed
     adj = g.adjacency
@@ -447,6 +435,8 @@ def blocks(g: Graph) -> tuple[list[set[int]], set[int]]:
                     block_list.append(blk)
                     if parent != root:
                         cutvertices.add(parent)
+    if timer < g.live_count:  # the DFS numbered only the root's component
+        raise ValueError("disconnected input")
     if root_children >= 2:
         cutvertices.add(root)
     return block_list, cutvertices

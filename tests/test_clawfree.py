@@ -61,6 +61,18 @@ def test_pmincf_cursor_bound_and_stats(paw):
     assert stats.edge_count == paw.edge_count
 
 
+def test_pmincf_skips_removed_vertices():
+    # cursors step over the dead entries 2 and 3; the advance bound
+    # counts them, while edge_count sees only the live edge 0-1
+    g = g_of(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    g.remove_vertex(2)
+    g.remove_vertex(3)
+    stats = PmincfStats()
+    assert pmincf(g, stats=stats, debug_checks=True) == Matching([(0, 1)])
+    assert stats.cursor_advances > 2 * g.edge_count
+    assert decide_unique_clawfree(g) == Matching([(0, 1)])
+
+
 def test_pmincf_exhaustive_clawfree_small():
     """Every connected claw-free graph of even order n <= 6: valid perfect
     matching, no extension available at any commit."""

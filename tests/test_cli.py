@@ -2,7 +2,8 @@
 
 import pytest
 
-from unipm import parse_graph, parse_trace, replay, serialize_graph
+from unipm import (AlternatingCycleWitness, cli, parse_graph, parse_trace,
+                   replay, serialize_graph)
 from unipm.cli import main
 
 from conftest import C4_EDGES, FLOWER_EDGES, PAW_EDGES, g_of
@@ -71,6 +72,54 @@ def test_check_clawed_graph_large_undecided(tmp_path, capsys):
     assert "verdict: undecided-class" in out
 
 
+def test_check_odd_order_components_not_unique(tmp_path, capsys):
+    # two disjoint triangles: claw-free, even order, odd components
+    f = write(tmp_path, "tri2.g", "6 6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n")
+    code, out = run(capsys, ["check", f])
+    assert code == 1
+    assert "method: clawfree" in out
+    assert "verdict: not-unique" in out
+    assert "reason: odd-order component has no perfect matching" in out
+    assert "witness:" not in out
+
+
+def test_check_oracle_not_unique_witness(tmp_path, capsys):
+    # clawed at 0 (leaves 2, 4, 5) and no forcing set: two perfect matchings
+    f = write(tmp_path, "multi.g", "6 6\n0 2\n0 4\n0 5\n1 4\n1 5\n2 3\n")
+    code, out = run(capsys, ["check", f])
+    assert code == 1
+    assert "method: oracle" in out
+    assert "verdict: not-unique" in out
+    assert "witness: 0 4 1 5 0\n" in out
+    assert "reason:" not in out
+
+
+def test_check_oracle_unique(tmp_path, capsys):
+    # clawed at 0 (leaves 1, 4, 5) and no forcing set; one perfect matching
+    edges = "0 1\n0 4\n0 5\n0 6\n1 6\n2 3\n2 4\n3 4\n5 6\n5 7\n6 7\n"
+    f = write(tmp_path, "uni.g", "8 11\n" + edges)
+    code, out = run(capsys, ["check", f])
+    assert code == 0
+    assert "method: oracle" in out
+    assert "verdict: unique" in out
+    assert out.endswith("0 4\n1 6\n2 3\n5 7\n")
+
+
+@pytest.mark.parametrize("name, content, fake, message", [
+    ("paw.g", "4 4\n0 1\n0 2\n1 2\n0 3\n", AlternatingCycleWitness((0, 1, 2, 3, 0)),
+     "forcing certificate contradicts verifier"),
+    ("multi.g", "6 6\n0 2\n0 4\n0 5\n1 4\n1 5\n2 3\n", None,
+     "oracle count contradicts verifier"),
+])
+def test_check_verifier_contradiction_raises(tmp_path, capsys, monkeypatch,
+                                             name, content, fake, message):
+    # a verifier that disagrees with a method's own proof is a bug, not a verdict
+    monkeypatch.setattr(cli, "is_unique_pm", lambda g, m: fake)
+    with pytest.raises(RuntimeError, match=message):
+        main(["check", write(tmp_path, name, content)])
+    assert "verdict:" not in capsys.readouterr().out
+
+
 def test_check_parse_error_exit_2(tmp_path, capsys):
     f = write(tmp_path, "bad.g", "2 1\n0 2\n")
     code, out = run(capsys, ["check", f])
@@ -107,6 +156,16 @@ def test_interval_not_unique(tmp_path, capsys):
     code, out = run(capsys, ["interval", f])
     assert code == 1
     assert "witness:" in out
+
+
+def test_interval_stuck_reason(tmp_path, capsys):
+    # two disjoint intervals: the sweep finds no partner for vertex 0
+    f = write(tmp_path, "iv.iv", "2\n0 1 2\n1 3 4\n")
+    code, out = run(capsys, ["interval", f])
+    assert code == 1
+    assert "verdict: not-unique" in out
+    assert "reason: stuck at vertex 0" in out
+    assert "witness:" not in out
 
 
 def test_interval_bad_rep(tmp_path, capsys):
