@@ -43,7 +43,8 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
     Claw-freeness and connectivity are promises of the caller; a claw
     is never checked here.  Raises ValueError on odd live order (before
     starting) and reports "disconnected input" if the promise fails in
-    a detectable way.  The caller's graph is not mutated.
+    a detectable way.  Raises RuntimeError if the cursors advance past
+    the live list lengths.  The caller's graph is not mutated.
 
     ``debug_checks`` asserts, at every commit, that the path admits
     neither extension and that the lm_nb cache matches a direct
@@ -182,7 +183,8 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
         stats.reseeds += reseeds
         stats.commits += len(pairs)
         stats.edge_count += g.edge_count
-    assert advances <= bound, "cursor advances exceed the live list lengths"
+    if advances > bound:
+        raise RuntimeError("cursor advances exceed the live list lengths")
     return Matching(pairs)
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / unique, 1 no unique perfect matching, 2 input
 error, 3 undecided (no class-specific algorithm applies and the graph
-is too large for the oracle).
+is too large for the oracle), 4 internal error (a self-check of the
+program failed; the message names it).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_NOT_UNIQUE = 1
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
+EXIT_INTERNAL = 4
 
 BENCH_SCHEMA = "unipm-bench-1"
 
@@ -372,6 +374,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _emit("error", str(exc))
         return EXIT_INPUT
+    except RuntimeError as exc:
+        _emit("error", str(exc))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

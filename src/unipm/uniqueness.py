@@ -1,9 +1,9 @@
-"""Ground-truth oracle and two independent uniqueness verifiers.
+"""Ground-truth oracle and the uniqueness verifiers.
 
 ``enumerate_pms`` is the exhaustive backtracking oracle for small
 graphs.  ``is_unique_pm`` decides uniqueness of a given perfect
-matching via alternating-cycle detection; ``kotzig_peel`` is the
-independent cross-check that peels matched bridges.
+matching, returning an alternating cycle when it is not unique;
+``kotzig_peel`` is the plain matched-bridge peel it is tested against.
 """
 
 from __future__ import annotations
@@ -94,12 +94,12 @@ def _canonical_cycle(open_cycle: list[int], partner: dict[int, int]) -> tuple[in
     Starts at the minimum vertex, second vertex is its matched partner,
     first vertex repeated at the end.
     """
-    k = len(open_cycle)
     i = open_cycle.index(min(open_cycle))
     rotated = open_cycle[i:] + open_cycle[:i]
     if rotated[1] != partner[rotated[0]]:
         rotated = [rotated[0]] + rotated[:0:-1]
-    assert rotated[1] == partner[rotated[0]]
+    if rotated[1] != partner[rotated[0]]:
+        raise RuntimeError("cycle does not alternate from its minimum vertex")
     return tuple(rotated + [rotated[0]])
 
 
@@ -130,58 +130,6 @@ def _directed_cycle(out: list[list[int]], order: list[int]) -> list[int] | None:
                 path.pop()
                 color[u] = BLACK
     return None
-
-
-def _scc_ids(out: list[list[int]], order: list[int]) -> tuple[list[int], list[int]]:
-    """Tarjan SCC (iterative): returns (component id per vertex, sizes)."""
-    n = len(out)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    scc_stack: list[int] = []
-    comp = [-1] * n
-    sizes: list[int] = []
-    counter = 0
-    for root in order:
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, iter]] = [(root, iter(out[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        scc_stack.append(root)
-        on_stack[root] = True
-        while work:
-            u, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    scc_stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(out[w])))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[u]:
-                    low[u] = index[w]
-            if not advanced:
-                work.pop()
-                if work:
-                    p = work[-1][0]
-                    if low[u] < low[p]:
-                        low[p] = low[u]
-                if low[u] == index[u]:
-                    cid = len(sizes)
-                    size = 0
-                    while True:
-                        v = scc_stack.pop()
-                        on_stack[v] = False
-                        comp[v] = cid
-                        size += 1
-                        if v == u:
-                            break
-                    sizes.append(size)
-    return comp, sizes
 
 
 def _augmenting_path(adj: list[list[int]], match: list[int], root: int,
@@ -269,8 +217,11 @@ def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
     directed cycle whose states hit no matched pair expands directly to
     an alternating cycle.  A cycle that does contain both endpoints of a
     matched pair is inconclusive (odd "flower" structures produce them
-    even for unique matchings), so the decision falls back to an exact
-    augmenting-path search restricted to the cyclic core.
+    even for unique matchings), so the decision falls back to peeling
+    matched bridges, all of a round's at once; if the peel stalls, an
+    exact augmenting-path search on the remainder finds the witness.
+    Raises RuntimeError if that search finds none, which Kotzig's
+    theorem rules out.
     """
     if not verify_pm(g, m):
         raise ValueError("matching is not a perfect matching of the graph")
@@ -300,35 +251,41 @@ def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
             walk.append(partner[cycle[(i + 1) % t]])
         return AlternatingCycleWitness(_canonical_cycle(walk, partner))
 
-    # Degenerate cycle: exact search on the cyclic core.  Every vertex of
-    # an alternating cycle lies on some directed cycle here (traversing
-    # the alternating cycle in either direction yields a directed cycle
-    # through half its vertices), so the core is a sound restriction.
-    comp, sizes = _scc_ids(out, live)
-    core = [u for u in live if sizes[comp[u]] >= 2]
-    core_set = set(core)
-    core = [u for u in core if partner[u] in core_set]
-    core_set = set(core)
-    idx = {u: i for i, u in enumerate(core)}
-    local_adj: list[list[int]] = [[] for _ in core]
-    for u in core:
-        iu = idx[u]
-        for v in g.adjacency[u]:
-            if v in core_set:
-                local_adj[iu].append(idx[v])
-    base_match = [idx[partner[u]] for u in core]
+    # Degenerate cycle: peel matched bridges, then search what is left.
+    # A bridge lies on no cycle, so a matched bridge belongs to every
+    # perfect matching and deleting its endpoints keeps the verdict.  A
+    # round deletes every matched bridge at once: deleting vertices never
+    # creates a cycle, so the other bridges of the round stay on none.
+    work = g.copy()
+    peeled = work.removed
+    while work.live_count:
+        peel = [(u, v) for u, v in find_bridges(work) if partner[u] == v]
+        if not peel:
+            break
+        for u, v in peel:
+            work.remove_vertex(u)
+            work.remove_vertex(v)
+    if not work.live_count:
+        return None
 
+    # Kotzig: a connected graph with a unique perfect matching has a
+    # matched bridge, so the stalled remainder has an alternating cycle
+    # and the exact search below must find it through some pair.
+    rest = list(work.live_vertices())
+    idx = {u: i for i, u in enumerate(rest)}
+    local_adj = [[idx[v] for v in g.adjacency[u] if not peeled[v]] for u in rest]
+    base_match = [idx[partner[u]] for u in rest]
     for u, v in m.pairs:
-        if u not in core_set or v not in core_set:
+        if peeled[u]:
             continue
         iu, iv = idx[u], idx[v]
         match = list(base_match)
         match[iu] = match[iv] = -1
         path = _augmenting_path(local_adj, match, iu, (iu, iv))
         if path is not None:
-            open_cycle = [core[i] for i in path]
+            open_cycle = [rest[i] for i in path]
             return AlternatingCycleWitness(_canonical_cycle(open_cycle, partner))
-    return None
+    raise RuntimeError("matched-bridge peel stalled but no alternating cycle found")
 
 
 def kotzig_peel(g: Graph, m: Matching) -> bool:
@@ -336,9 +293,10 @@ def kotzig_peel(g: Graph, m: Matching) -> bool:
 
     Equivalent to uniqueness of m: a matched bridge lies on no cycle,
     hence belongs to every perfect matching; a nonempty stage with no
-    matched bridge certifies a second matching exists.  Recomputes
-    bridges per round (O(n*m) worst case); used as an independent
-    cross-check of is_unique_pm.
+    matched bridge certifies a second matching exists.  Deletes one
+    bridge per round and recomputes bridges each time (O(n*m) worst
+    case); the reference the tests compare is_unique_pm against, whose
+    fallback runs the same peel a whole round at a time.
     """
     if not verify_pm(g, m):
         raise ValueError("matching is not a perfect matching of the graph")

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from unipm import Graph, Matching, enumerate_pms
+from unipm import Graph, Matching, clique_chain, enumerate_pms
 
 # hand-checked ground truth used across modules
 PAW_EDGES = [(0, 1), (0, 2), (1, 2), (0, 3)]           # triangle + pendant
@@ -24,6 +24,15 @@ FLOWER_EDGES = [(0, 1), (2, 3), (4, 5), (0, 3), (0, 2), (1, 4), (1, 5)]
 
 def g_of(n: int, edges) -> Graph:
     return Graph.from_edges(n, edges)
+
+
+def mid_chorded_chain() -> Graph:
+    """clique_chain(31) plus the chord 31-33, which closes the alternating
+    cycle 30-31-33-32 mid-chain: the matched-bridge peel stalls only
+    after n/4 rounds."""
+    g, _ = clique_chain(31)
+    g.add_edge(31, 33)
+    return g
 
 
 @pytest.fixture

@@ -1,12 +1,17 @@
 """Command-line interface: dispatch, exit codes, reproducibility."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import unipm
 from unipm import (AlternatingCycleWitness, cli, parse_graph, parse_trace,
-                   replay, serialize_graph)
+                   random_gclass, replay, serialize_graph)
 from unipm.cli import main
 
-from conftest import C4_EDGES, FLOWER_EDGES, PAW_EDGES, g_of
+from conftest import C4_EDGES, FLOWER_EDGES, PAW_EDGES, g_of, mid_chorded_chain
 
 
 def write(tmp_path, name, content):
@@ -113,11 +118,32 @@ def test_check_oracle_unique(tmp_path, capsys):
 ])
 def test_check_verifier_contradiction_raises(tmp_path, capsys, monkeypatch,
                                              name, content, fake, message):
-    # a verifier that disagrees with a method's own proof is a bug, not a verdict
+    # a verifier that disagrees with a method's own proof is a bug, not a
+    # verdict: one error line and the internal-error code, no traceback
     monkeypatch.setattr(cli, "is_unique_pm", lambda g, m: fake)
-    with pytest.raises(RuntimeError, match=message):
-        main(["check", write(tmp_path, name, content)])
-    assert "verdict:" not in capsys.readouterr().out
+    code, out = run(capsys, ["check", write(tmp_path, name, content)])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert f"error: {message}\n" in out
+    assert "verdict:" not in out
+
+
+@pytest.mark.parametrize("make", [mid_chorded_chain,
+                                  lambda: random_gclass(60, seed=3)[0]])
+def test_check_same_answer_without_asserts(tmp_path, capsys, make):
+    # python -O strips every assert, so no verdict may rest on one
+    f = write(tmp_path, "g.g", serialize_graph(make()))
+    code, out = run(capsys, ["check", f])
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(unipm.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-m", "unipm.cli", "check", f],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+    def answer(text):
+        return [ln for ln in text.splitlines() if not ln.startswith("elapsed_s:")]
+
+    assert proc.returncode == code
+    assert proc.stderr == ""
+    assert answer(proc.stdout) == answer(out)
 
 
 def test_check_parse_error_exit_2(tmp_path, capsys):

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unipm import (Graph, Matching, enumerate_pms, is_unique_pm, kotzig_peel,
-                   verify_pm)
+                   pmincf, uniqueness, verify_pm)
+from unipm.uniqueness import _canonical_cycle
 
 from conftest import (C4_EDGES, FLOWER_EDGES, K4_EDGES, P4_EDGES, PAW_EDGES,
-                      g_of, random_connected_edge_set)
+                      g_of, mid_chorded_chain, random_connected_edge_set)
 
 
 # ----------------------------------------------------------------- oracle
@@ -101,6 +102,34 @@ def test_unique_flower_with_extra_cycle(flower):
     assert verify_pm(flower, m2) and m2 != pms[0]
 
 
+def _mid_chorded_chain():
+    g = mid_chorded_chain()
+    m = pmincf(g)
+    assert m == Matching([(2 * i, 2 * i + 1) for i in range(32)])
+    return g, m
+
+
+def test_unique_fallback_peels_to_witness():
+    g, m = _mid_chorded_chain()
+    w = is_unique_pm(g, m)
+    assert w is not None and w.cycle == (30, 31, 33, 32, 30)
+    assert not kotzig_peel(g, m)
+
+
+def test_unique_fallback_stalled_search_raises(monkeypatch):
+    # a search that finds nothing on a stalled peel is a bug, not "unique"
+    g, m = _mid_chorded_chain()
+    monkeypatch.setattr(uniqueness, "_augmenting_path", lambda *args: None)
+    with pytest.raises(RuntimeError, match="peel stalled"):
+        is_unique_pm(g, m)
+
+
+def test_canonical_cycle_rejects_non_alternating():
+    # 0's partner is 2, which is not next to 0 on the cycle either way round
+    with pytest.raises(RuntimeError):
+        _canonical_cycle([0, 1, 2, 3], {0: 2, 2: 0, 1: 3, 3: 1})
+
+
 # ------------------------------------------------------------- kotzig_peel
 
 def test_kotzig_examples(paw):
@@ -158,7 +187,7 @@ def test_witness_swaps_to_second_pm(n, seed):
 
 
 def test_verifiers_agree_beyond_oracle_reach():
-    """Cross-check the two independent verifiers on graphs too large for
+    """Cross-check the verifier and the reference peel on graphs too large for
     the oracle: class members (all unique, rich in the odd structures
     that force the exact fallback) and chord-perturbed variants (mostly
     non-unique, often no longer claw-free -- neither verifier cares)."""
