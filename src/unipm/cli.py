@@ -232,7 +232,8 @@ def bench_rows(family: str, sizes: list[int], repetitions: int,
                seed: int) -> list[tuple]:
     """Benchmark rows: (schema, family, n, m, rep, wall_s, advances, lm_updates).
 
-    The cursor-advance bound advances <= 2m is asserted on every run.
+    pmincf itself raises RuntimeError if the cursors advance past the
+    live adjacency lengths, which is 2m here (no vertex is removed).
     Repetitions are interleaved round-robin across the sizes and cyclic
     GC is paused while timing, so a transient slowdown of the host hits
     every size instead of silently inflating one size's whole block;
@@ -262,8 +263,6 @@ def bench_rows(family: str, sizes: list[int], repetitions: int,
                 start = time.perf_counter()
                 pmincf(g, stats=stats)
                 elapsed = time.perf_counter() - start
-                assert stats.cursor_advances <= 2 * g.edge_count, \
-                    "cursor advances exceed 2m"
                 per_size[i].append(
                     (BENCH_SCHEMA, family, g.live_count, g.edge_count, rep,
                      f"{elapsed:.6f}", stats.cursor_advances,

@@ -12,10 +12,10 @@ full validation.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 
-from .graph import (Graph, _non_adjacent_pair, endblocks, is_connected,
-                    is_simplicial)
+from .graph import Graph, _non_adjacent_pair, is_connected, is_simplicial
 
 
 class OperationError(ValueError):
@@ -284,7 +284,6 @@ def replay(trace: ConstructionTrace) -> Graph:
     present: set[int] = set()
 
     init = steps[0]
-    assert isinstance(init, InitStep)
     if init.u == init.v:
         raise OperationError("step 0: INIT needs two distinct vertices")
     g.add_edge(init.u, init.v)
@@ -294,7 +293,6 @@ def replay(trace: ConstructionTrace) -> Graph:
         if isinstance(step, Op1Step):
             anchors: tuple[int, ...] = (step.u,)
         else:
-            assert isinstance(step, Op2Step)
             anchors = step.clique
         for a in anchors:
             if a not in present:
@@ -326,8 +324,8 @@ def decompose(g: Graph) -> ConstructionTrace | None:
     Peels endblocks: a pendant-edge endblock inverts the clique
     operation (C = the cutvertex's other neighbors), a triangle
     endblock inverts the simplicial operation.  Fails (None) when the
-    order is odd, the graph is disconnected, some endblock has 4 or
-    more vertices, a recorded step's precondition does not hold in the
+    order is odd, the graph is disconnected, no endblock has 2 or 3
+    vertices, a recorded step's precondition does not hold in the
     remainder, or the base is not a single edge.
     """
     if g.live_count == 0 or g.live_count % 2:
@@ -335,43 +333,66 @@ def decompose(g: Graph) -> ConstructionTrace | None:
     if not is_connected(g):
         return None
     work = g.copy()
+    adjacency, removed = work.adjacency, work.removed
+    # In a connected graph with more than 3 vertices, an endblock with at
+    # most 3 vertices is a degree-1 vertex y with its neighbor x, or two
+    # adjacent degree-2 vertices x, y with their common neighbor u.  So
+    # live degrees find every such endblock without computing blocks: a
+    # vertex is queued whenever its degree drops to 2 or less, and its
+    # shape is read again when it is popped.
+    # Sound: each peel checks, in the remainder, the precondition of the
+    # step it records, and the base must be an edge, so replay rebuilds g.
+    # Complete by the lemma any endblock peel rests on: in a class member,
+    # peeling any endblock with 2 or 3 vertices passes its check and
+    # leaves a class member (which has one again: the last step's x, y),
+    # so the order the queue finds them in does not matter.
+    degree = [0 if removed[v] else work.live_degree(v) for v in range(work.n_total)]
+    queue = deque(v for v in range(work.n_total) if not removed[v] and degree[v] <= 2)
     peeled: list[Step] = []
-    while True:
-        if work.live_count == 2:
-            a, b = sorted(work.live_vertices())
-            if not work.has_edge(a, b):
-                return None
-            init = InitStep(a, b)
-            break
-        ebs = endblocks(work)
-        if any(len(blk) >= 4 for blk, _ in ebs):
+    while work.live_count > 2:
+        if not queue:
             return None
-        blk, cut = ebs[0]
-        if cut is None:
-            return None  # whole graph is one small block but live > 2
-        if len(blk) == 2:
-            x = cut
-            (y,) = blk - {x}
-            clique = tuple(sorted(w for w in work.live_neighbors(x) if w != y))
-            if not clique:
-                return None
-            work.remove_vertex(x)
-            work.remove_vertex(y)
-            if _op2_violation(work, clique) is not None:
-                return None
-            peeled.append(Op2Step(clique, x, y))
+        v = queue.popleft()
+        if removed[v]:
+            continue
+        nbrs = [w for w in adjacency[v] if not removed[w]]
+        if len(nbrs) == 1:
+            x, y = nbrs[0], v
+            clique = tuple(sorted(w for w in adjacency[x] if not removed[w] and w != y))
+            step: Step = Op2Step(clique, x, y)
+        elif len(nbrs) == 2:
+            a, b = nbrs
+            if degree[a] == 2 and b in adjacency[a]:
+                other, u = a, b
+            elif degree[b] == 2 and a in adjacency[b]:
+                other, u = b, a
+            else:
+                continue
+            x, y = sorted((v, other))
+            step = Op1Step(u, x, y)
         else:
-            u = cut
-            x, y = sorted(blk - {u})
-            work.remove_vertex(x)
-            work.remove_vertex(y)
-            if not is_simplicial(work, u):
+            continue
+        work.remove_vertex(x)
+        work.remove_vertex(y)
+        if isinstance(step, Op1Step):
+            if not is_simplicial(work, step.u):
                 return None
-            peeled.append(Op1Step(u, x, y))
+        elif _op2_violation(work, step.clique) is not None:
+            return None
+        peeled.append(step)
+        for z in (x, y):
+            for w in adjacency[z]:
+                if not removed[w]:
+                    degree[w] -= 1
+                    if degree[w] <= 2:
+                        queue.append(w)
         # The remainder stays connected once the peel's checks pass: op1
         # removes two non-cut vertices of a triangle endblock, and after
         # op2 removes x and its pendant y every remaining component
         # touches C, which _op2_violation has just confirmed is a clique.
-    steps: list[Step] = [init]
+    a, b = sorted(work.live_vertices())
+    if not work.has_edge(a, b):
+        return None
+    steps: list[Step] = [InitStep(a, b)]
     steps.extend(reversed(peeled))
     return ConstructionTrace(tuple(steps))

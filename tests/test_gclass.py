@@ -1,6 +1,7 @@
 """Constructive class: operations, random generation, replay, decompose."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from unipm import (ConstructionTrace, Graph, InitStep, Matching, Op1Step,
                    Op2Step, OperationError, apply_op1, apply_op2, decompose,
                    enumerate_pms, find_bridges, find_claw, format_trace,
-                   is_unique_pm, parse_trace, pmincf, random_gclass, replay,
-                   verify_pm)
+                   is_connected, is_unique_pm, parse_trace, pmincf,
+                   random_gclass, replay, verify_pm)
 
 from conftest import (C4_EDGES, P4_EDGES, PAW_EDGES, g_of,
                       iter_connected_edge_sets)
@@ -193,6 +194,54 @@ def test_decompose_rejections():
     assert decompose(g_of(4, [(0, 1), (2, 3)])) is None  # disconnected
     assert decompose(Graph(0)) is None
     assert decompose(g_of(2, [(0, 1)])) is not None
+
+
+def test_decompose_rejects_big_endblock_after_peeling():
+    # both are rejected only after peeling starts: the K4 is left alone
+    # once the path 3-4-5 is peeled, and the C4's pendant 4 hangs from 0,
+    # whose other neighbors 1 and 3 are not adjacent
+    k4_path = g_of(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                       (3, 4), (4, 5)])
+    assert decompose(k4_path) is None
+    c4_pendants = g_of(6, C4_EDGES + [(0, 4), (2, 5)])
+    assert decompose(c4_pendants) is None
+
+
+def test_decompose_triangle_chain_replays():
+    g = replay(ConstructionTrace((InitStep(0, 1), Op1Step(1, 2, 3),
+                                  Op1Step(3, 4, 5))))
+    trace = decompose(g)
+    assert trace is not None
+    r = replay(trace)
+    assert r.n_total == g.n_total
+    assert r.live_edges() == g.live_edges()
+
+
+def test_decompose_matches_oracle_near_members():
+    """Members with one edge added or deleted: decompose accepts exactly
+    the connected claw-free results with a unique perfect matching."""
+    checked = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        g, _ = random_gclass(rng.randint(1, 19), op2_bias=rng.random(),
+                             seed=seed)
+        edges = g.live_edges()
+        if rng.random() < 0.5:
+            edges.pop(rng.randrange(len(edges)))
+        else:
+            present = set(edges)
+            edges.append(rng.choice([e for e in combinations(range(g.n_total), 2)
+                                     if e not in present]))
+        h = g_of(g.n_total, edges)
+        if not is_connected(h):
+            continue
+        member = find_claw(h) is None and len(enumerate_pms(h, 2)) == 1
+        trace = decompose(h)
+        assert (trace is not None) == member, (seed, edges)
+        if trace is not None:
+            assert replay(trace).live_edges() == h.live_edges()
+        checked += 1
+    assert checked > 200
 
 
 def test_decompose_does_not_mutate(paw):
