@@ -1,9 +1,10 @@
 """Command-line front end: unique-perfect-matching tools.
 
 Exit codes: 0 success / unique, 1 no unique perfect matching, 2 input
-error, 3 undecided (no class-specific algorithm applies and the graph
-is too large for the oracle), 4 internal error (a self-check of the
-program failed; the message names it).
+error (an unreadable input or an unwritable output path), 3 undecided
+(no class-specific algorithm applies and the graph is too large for the
+oracle), 4 internal error (a self-check of the program failed; the
+message names it).
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise GraphParseError(f"cannot read {path}: {exc}") from None
+
+
+def _write_file(path: str, content: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
 
 
 def _load_graph(path: str) -> Graph:
@@ -194,8 +203,7 @@ def _cmd_gen(args) -> int:
         lines.extend(f"{v} {l} {r}" for v, (l, r) in enumerate(rep.intervals))
         written.append((f"{prefix}.iv", "\n".join(lines) + "\n"))
     for path, content in written:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        _write_file(path, content)
         _emit("wrote", path)
     return EXIT_OK
 
@@ -276,15 +284,13 @@ def bench_rows(family: str, sizes: list[int], repetitions: int,
 def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     rows = bench_rows(args.family, sizes, args.repetitions, _seed_from(args))
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        out.write("schema,family,n,m,rep,wall_time_s,cursor_advances,"
-                  "lm_nb_updates\n")
-        for row in rows:
-            out.write(",".join(map(str, row)) + "\n")
-    finally:
-        if args.out:
-            out.close()
+    lines = ["schema,family,n,m,rep,wall_time_s,cursor_advances,lm_nb_updates"]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    csv = "\n".join(lines) + "\n"
+    if args.out:
+        _write_file(args.out, csv)
+    else:
+        sys.stdout.write(csv)
     return EXIT_OK
 
 

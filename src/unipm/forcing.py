@@ -36,33 +36,34 @@ def find_forcing_set(g: Graph) -> ForcingCertificate | None:
     stranded vertex returns None.
     """
     n = g.n_total
-    removed = g.removed
-    alive = [not removed[u] for u in range(n)]
+    adj = g.adjacency
+    alive = [not r for r in g.removed]
     remaining = g.live_count
     if remaining % 2:
         return None
     deg = [0] * n
     for u in range(n):
         if alive[u]:
-            deg[u] = sum(1 for w in g.adjacency[u] if alive[w])
-    heap = [u for u in range(n) if alive[u] and deg[u] == 1]
+            deg[u] = sum(map(alive.__getitem__, adj[u]))
+    heap = [u for u in range(n) if deg[u] == 1]  # removed vertices have 0
     heapq.heapify(heap)
     forced: list[tuple[int, int]] = []
     while heap:
         u = heapq.heappop(heap)
         if not alive[u] or deg[u] != 1:
             continue  # stale entry
-        v = next(w for w in g.adjacency[u] if alive[w])
+        for v in adj[u]:
+            if alive[v]:
+                break
         forced.append((u, v))
         alive[u] = False
         alive[v] = False
         remaining -= 2
-        for gone in (u, v):
-            for z in g.adjacency[gone]:
-                if alive[z]:
-                    deg[z] -= 1
-                    if deg[z] == 1:
-                        heapq.heappush(heap, z)
+        for z in adj[u] + adj[v]:
+            if alive[z]:
+                deg[z] -= 1
+                if deg[z] == 1:
+                    heapq.heappush(heap, z)
     if remaining != 0:
         return None
     return ForcingCertificate(tuple(forced), Matching(forced))

@@ -40,19 +40,19 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph on n vertices; duplicate edges collapse to one."""
         g = cls(n)
-        seen: set[tuple[int, int]] = set()
+        adj = g.adjacency
+        seen: set[int] = set()  # edge {u < v} keyed as u*n + v
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"vertex {max(u, v)} out of range")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
-            g.adjacency[u].append(v)
-            g.adjacency[v].append(u)
-            g.edge_count += 1
+            key = u * n + v if u < v else v * n + u
+            if key not in seen:
+                seen.add(key)
+                adj[u].append(v)
+                adj[v].append(u)
+        g.edge_count = len(seen)
         return g
 
     def copy(self) -> "Graph":
@@ -223,31 +223,36 @@ def parse_graph(text: str) -> Graph:
     if n < 0 or m < 0:
         raise GraphParseError(f"negative count in header at line {lineno}")
 
-    def edges() -> Iterator[tuple[int, int]]:
-        edges_read = 0
-        for lineno, raw in lines:
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if edges_read >= m:
-                raise GraphParseError(f"unexpected extra edge at line {lineno}")
-            if len(parts) != 2:
-                raise GraphParseError(f"malformed edge at line {lineno}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphParseError(f"malformed edge at line {lineno}") from None
-            for w in (u, v):
-                if not 0 <= w < n:
-                    raise GraphParseError(f"vertex {w} out of range at line {lineno}")
-            if u == v:
-                raise GraphParseError(f"self-loop at line {lineno}")
-            edges_read += 1
-            yield u, v
-        if edges_read != m:
-            raise GraphParseError(f"expected {m} edges, found {edges_read}")
-
-    return Graph.from_edges(n, edges())
+    g = Graph(n)
+    adj = g.adjacency
+    seen: set[int] = set()  # edge {u < v} keyed as u*n + v, as in from_edges
+    edges_read = 0
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
+            continue
+        if edges_read >= m:
+            raise GraphParseError(f"unexpected extra edge at line {lineno}")
+        try:
+            a, b = parts
+            u, v = int(a), int(b)
+        except ValueError:
+            raise GraphParseError(f"malformed edge at line {lineno}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            w = v if 0 <= u < n else u
+            raise GraphParseError(f"vertex {w} out of range at line {lineno}")
+        if u == v:
+            raise GraphParseError(f"self-loop at line {lineno}")
+        edges_read += 1
+        key = u * n + v if u < v else v * n + u
+        if key not in seen:
+            seen.add(key)
+            adj[u].append(v)
+            adj[v].append(u)
+    if edges_read != m:
+        raise GraphParseError(f"expected {m} edges, found {edges_read}")
+    g.edge_count = len(seen)
+    return g
 
 
 def serialize_graph(g: Graph) -> str:

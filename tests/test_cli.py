@@ -321,6 +321,19 @@ def test_bench_gclass_family(capsys):
     assert out.splitlines()[0].startswith("schema,")
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["gen", "--family", "cograph", "--out", "{d}/x"], "{d}/x.g"),
+    (["bench", "--sizes", "30", "--repetitions", "1", "--out", "{d}/b.csv"],
+     "{d}/b.csv"),
+])
+def test_unwritable_output_exit_2(tmp_path, capsys, argv, path):
+    d = str(tmp_path / "no-such-dir")
+    code, out = run(capsys, [a.format(d=d) for a in argv])
+    assert code == 2
+    assert out.startswith(f"error: cannot write {path.format(d=d)}: ")
+    assert out.count("\n") == 1
+
+
 # -------------------------------------------------------------- usage
 
 def test_unknown_subcommand_exit_2(capsys):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unipm import (Graph, Matching, enumerate_pms, find_forcing_set,
-                   is_unique_pm, split_balance)
+                   is_unique_pm, serialize_graph, split_balance)
+from unipm.cli import main
 
 from conftest import (C4_EDGES, FLOWER_EDGES, K4_EDGES, P4_EDGES, PAW_EDGES,
                       g_of, random_connected_edge_set)
@@ -56,6 +57,32 @@ def test_forcing_flower_incompleteness(flower):
 def test_forcing_respects_removal(paw):
     paw.remove_vertex(3)
     assert find_forcing_set(paw) is None  # odd live order
+
+
+# spider on center 4: legs 4-7-0, 4-8-1, 4-9-2, 4-5-6 and the pendant 4-3.
+# Leaves 0, 1, 2, 3 and 6 are queued at once; matching 3 with 4 drops 5 to
+# degree 1 after 6 was queued, yet 5 pops first (lowest id), and 6's entry
+# goes stale because 6 leaves as 5's partner.
+SPIDER_EDGES = [(4, 7), (7, 0), (4, 8), (8, 1), (4, 9), (9, 2), (4, 3),
+                (4, 5), (5, 6)]
+SPIDER_FORCED = ((0, 7), (1, 8), (2, 9), (3, 4), (5, 6))
+
+
+def test_forcing_order_pinned():
+    assert find_forcing_set(g_of(10, SPIDER_EDGES)).forced == SPIDER_FORCED
+    # removed vertex 10 still sits in the adjacency lists of leaves 0 and 3
+    # and of 5; counting it would change their degrees and so the order
+    g = g_of(11, SPIDER_EDGES + [(10, 0), (10, 3), (10, 5)])
+    g.remove_vertex(10)
+    assert find_forcing_set(g).forced == SPIDER_FORCED
+
+
+def test_force_cli_order_pinned(tmp_path, capsys):
+    f = tmp_path / "spider.g"
+    f.write_text(serialize_graph(g_of(10, SPIDER_EDGES)))
+    assert main(["force", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert "forcing_order: 0,7 1,8 2,9 3,4 5,6\n" in out
 
 
 def _replay_certificate(g, cert):

@@ -59,6 +59,43 @@ def test_parse_empty_graph():
     assert g.n_total == 0 and g.live_count == 0 and g.edge_count == 0
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3 1\n0 1\n# ok\n1 2\n", "unexpected extra edge at line 4"),
+    ("3 1\n0\n", "malformed edge at line 2"),
+    ("3 1\n\n0 1 2\n", "malformed edge at line 3"),
+    ("3 1\n0 x\n", "malformed edge at line 2"),
+    ("# c\n-1 0\n", "negative count in header at line 2"),
+    ("3 -1\n", "negative count in header at line 1"),
+    ("", "missing header"),
+    ("# only a comment\n\n  # and another\n", "missing header"),
+    ("3 1\n0 3\n", "vertex 3 out of range at line 2"),
+    ("3 1\n1 -1\n", "vertex -1 out of range at line 2"),
+    ("3 1\n5 -1\n", "vertex 5 out of range at line 2"),  # first endpoint first
+])
+def test_parse_error_paths(text, message):
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 9), st.data())
+def test_parse_matches_from_edges(n, data):
+    """Comments, blank lines and repeated edges change nothing: the parsed
+    graph equals from_edges on the same edge list, adjacency order too."""
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = data.draw(st.lists(pair, max_size=3 * n))
+    lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    for _ in range(data.draw(st.integers(0, 4))):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(["", "  ", "#", "# 0 1"])))
+    g = parse_graph("\n".join(lines) + "\n")
+    h = Graph.from_edges(n, edges)
+    assert g.adjacency == h.adjacency and g.removed == h.removed
+    assert g.edge_count == h.edge_count == len({frozenset(e) for e in edges})
+
+
 def test_roundtrip_small():
     for edges, n in [(PAW_EDGES, 4), (C6_EDGES, 6), ([], 3)]:
         g = g_of(n, edges)
