@@ -10,6 +10,7 @@ message names it).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -46,10 +47,13 @@ def _read_file(path: str) -> str:
         raise GraphParseError(f"cannot read {path}: {exc}") from None
 
 
-def _write_file(path: str, content: str) -> None:
+@contextlib.contextmanager
+def _output(path: str):
+    """The file at path, open for writing; an OSError while opening or
+    writing it becomes a ValueError naming the path."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+            yield fh
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from None
 
@@ -203,7 +207,8 @@ def _cmd_gen(args) -> int:
         lines.extend(f"{v} {l} {r}" for v, (l, r) in enumerate(rep.intervals))
         written.append((f"{prefix}.iv", "\n".join(lines) + "\n"))
     for path, content in written:
-        _write_file(path, content)
+        with _output(path) as fh:
+            fh.write(content)
         _emit("wrote", path)
     return EXIT_OK
 
@@ -283,14 +288,13 @@ def bench_rows(family: str, sizes: list[int], repetitions: int,
 
 def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
-    rows = bench_rows(args.family, sizes, args.repetitions, _seed_from(args))
-    lines = ["schema,family,n,m,rep,wall_time_s,cursor_advances,lm_nb_updates"]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    csv = "\n".join(lines) + "\n"
-    if args.out:
-        _write_file(args.out, csv)
-    else:
-        sys.stdout.write(csv)
+    # open --out before the run, so an unwritable path fails at once
+    out = _output(args.out) if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        rows = bench_rows(args.family, sizes, args.repetitions, _seed_from(args))
+        lines = ["schema,family,n,m,rep,wall_time_s,cursor_advances,lm_nb_updates"]
+        lines.extend(",".join(map(str, row)) for row in rows)
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

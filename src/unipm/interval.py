@@ -67,7 +67,7 @@ def parse_intervals(text: str) -> IntervalRep:
         if len(parts) != 3:
             raise IntervalParseError(f"malformed interval at line {lineno}")
         try:
-            v, l, r = (int(p) for p in parts)
+            v, l, r = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise IntervalParseError(f"malformed interval at line {lineno}") from None
         if not 0 <= v < header:
@@ -110,16 +110,26 @@ def normalize_endpoints(pairs: list[tuple[int, int]]) -> IntervalRep:
 def intersection_graph(rep: IntervalRep) -> Graph:
     """Graph with an edge {u, v} iff max(l_u, l_v) < min(r_u, r_v)."""
     n = rep.n
-    order = sorted(range(n), key=lambda v: rep.intervals[v][0])
+    intervals = rep.intervals
+    order = sorted(range(n), key=lambda v: intervals[v][0])
+    g = Graph(n)
+    adj = g.adjacency
+    m = 0
     active: list[tuple[int, int]] = []  # (r, vertex) heap
-    edges = []
+    # each pair meets once, when the later-starting vertex is reached,
+    # so the edges are distinct and need no dedupe
     for v in order:
-        l, r = rep.intervals[v]
+        l, r = intervals[v]
         while active and active[0][0] < l:
             heapq.heappop(active)
-        edges.extend((v, w) for _, w in active)
+        adj_v = adj[v]
+        for _, w in active:
+            adj_v.append(w)
+            adj[w].append(v)
+        m += len(active)
         heapq.heappush(active, (r, v))
-    return Graph.from_edges(n, edges)
+    g.edge_count = m
+    return g
 
 
 def interval_pm(rep: IntervalRep) -> Matching:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .graph import Graph, Matching, find_bridges
 
@@ -80,15 +81,23 @@ def enumerate_pms(g: Graph, cap: int) -> list[Matching]:
 
 def verify_pm(g: Graph, m: Matching) -> bool:
     """True iff m's pairs are live edges, disjoint, and cover every live vertex."""
-    covered = 0
+    adj = g.adjacency
+    removed = g.removed
+    n = len(adj)
     for u, v in m.pairs:
-        if not (g.is_live(u) and g.is_live(v) and g.has_edge(u, v)):
+        if not (0 <= u < n and 0 <= v < n) or removed[u] or removed[v]:
             return False
-        covered += 2
-    return covered == g.live_count
+        # scan the shorter list, as Graph.has_edge does
+        a, b = adj[u], adj[v]
+        if len(b) < len(a):
+            a, v = b, u
+        if v not in a:
+            return False
+    return 2 * len(m.pairs) == g.live_count
 
 
-def _canonical_cycle(open_cycle: list[int], partner: dict[int, int]) -> tuple[int, ...]:
+def _canonical_cycle(open_cycle: list[int],
+                     partner: Mapping[int, int] | Sequence[int]) -> tuple[int, ...]:
     """Rotate/orient a simple alternating cycle into canonical form.
 
     Starts at the minimum vertex, second vertex is its matched partner,
@@ -103,33 +112,49 @@ def _canonical_cycle(open_cycle: list[int], partner: dict[int, int]) -> tuple[in
     return tuple(rotated + [rotated[0]])
 
 
-def _directed_cycle(out: list[list[int]], order: list[int]) -> list[int] | None:
-    """Some directed cycle (vertex list, arc order) via iterative DFS, or None."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * len(out)
+def _clean_cycle(out: list[list[int]], order: list[int],
+                 partner: list[int]) -> tuple[list[int] | None, bool]:
+    """First directed cycle holding no vertex together with its partner.
+
+    One iterative DFS judges every back arc x -> w in O(1): ``pos`` is
+    each on-stack state's stack position, and ``low[d]`` is the largest
+    lower position of a vertex-partner pair with both states among the
+    first d + 1 on the stack.  The stack segment from w to x holds such
+    a pair iff ``low`` at x's position is at least w's.  Returns
+    (states of the first clean segment, True), or (None, whether the
+    DFS saw any back arc, i.e. whether the digraph is cyclic).
+    """
+    FINISHED = -2
+    pos = [-1] * len(out)
+    cyclic = False
     for s in order:
-        if color[s] != WHITE:
+        if pos[s] != -1:
             continue
-        color[s] = GRAY
+        pos[s] = 0
         path = [s]
-        stack = [(s, iter(out[s]))]
+        low = [-1]
+        stack = [iter(out[s])]
         while stack:
-            u, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color[w] == GRAY:
-                    return path[path.index(w):]
-                if color[w] == WHITE:
-                    color[w] = GRAY
+            for w in stack[-1]:
+                pw = pos[w]
+                if pw == -1:
+                    # a partner below on the stack has position >= 0
+                    q = pos[partner[w]]
+                    top = low[-1]
+                    low.append(q if q > top else top)
+                    pos[w] = len(path)
                     path.append(w)
-                    stack.append((w, iter(out[w])))
-                    advanced = True
+                    stack.append(iter(out[w]))
                     break
-            if not advanced:
+                if pw >= 0:
+                    if low[-1] < pw:
+                        return path[pw:], True
+                    cyclic = True
+            else:
                 stack.pop()
-                path.pop()
-                color[u] = BLACK
-    return None
+                low.pop()
+                pos[path.pop()] = FINISHED
+    return None, cyclic
 
 
 def _augmenting_path(adj: list[list[int]], match: list[int], root: int,
@@ -213,36 +238,37 @@ def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
     """None iff m is the unique perfect matching of g; else a witness cycle.
 
     Fast path: the digraph with arcs x -> partner(y) and y -> partner(x)
-    for every non-matching live edge {x, y}.  Acyclic implies unique; a
-    directed cycle whose states hit no matched pair expands directly to
-    an alternating cycle.  A cycle that does contain both endpoints of a
-    matched pair is inconclusive (odd "flower" structures produce them
-    even for unique matchings), so the decision falls back to peeling
-    matched bridges, all of a round's at once; if the peel stalls, an
-    exact augmenting-path search on the remainder finds the witness.
-    Raises RuntimeError if that search finds none, which Kotzig's
-    theorem rules out.
+    for every non-matching live edge {x, y}; a second perfect matching
+    gives a directed cycle in it.  One DFS decides most graphs: no back
+    arc means acyclic, hence unique, and the first back arc whose cycle
+    holds no vertex together with its partner expands directly to an
+    alternating cycle.  When every back arc closes such a degenerate
+    cycle (odd "flower" structures produce them even for unique
+    matchings), the decision falls back to peeling matched bridges, all
+    of a round's at once; if the peel stalls, an exact augmenting-path
+    search on the remainder finds the witness.  Raises RuntimeError if
+    that search finds none, which Kotzig's theorem rules out.
     """
     if not verify_pm(g, m):
         raise ValueError("matching is not a perfect matching of the graph")
-    n = g.n_total
-    partner = m.partner
+    adj = g.adjacency
     removed = g.removed
+    n = len(adj)
+    partner = [-1] * n
+    for u, v in m.partner.items():
+        partner[u] = v
     out: list[list[int]] = [[] for _ in range(n)]
     live = [u for u in range(n) if not removed[u]]
     for u in live:
         pu = partner[u]
-        for v in g.adjacency[u]:
+        out_u = out[u]
+        for v in adj[u]:
             if v > u and not removed[v] and pu != v:
-                out[u].append(partner[v])
+                out_u.append(partner[v])
                 out[v].append(pu)
 
-    cycle = _directed_cycle(out, live)
-    if cycle is None:
-        return None
-
-    states = set(cycle)
-    if not any(partner[x] in states for x in cycle):
+    cycle, cyclic = _clean_cycle(out, live, partner)
+    if cycle is not None:
         # expansion x1, partner(x2), x2, ..., xt, partner(x1), x1 is simple
         walk: list[int] = []
         t = len(cycle)
@@ -250,30 +276,36 @@ def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
             walk.append(cycle[i])
             walk.append(partner[cycle[(i + 1) % t]])
         return AlternatingCycleWitness(_canonical_cycle(walk, partner))
+    if not cyclic:
+        return None
 
-    # Degenerate cycle: peel matched bridges, then search what is left.
-    # A bridge lies on no cycle, so a matched bridge belongs to every
-    # perfect matching and deleting its endpoints keeps the verdict.  A
-    # round deletes every matched bridge at once: deleting vertices never
-    # creates a cycle, so the other bridges of the round stay on none.
-    work = g.copy()
-    peeled = work.removed
-    while work.live_count:
+    # Only degenerate cycles: peel matched bridges, then search what is
+    # left.  A bridge lies on no cycle, so a matched bridge belongs to
+    # every perfect matching and deleting its endpoints keeps the
+    # verdict.  A round deletes every matched bridge at once: deleting
+    # vertices never creates a cycle, so the other bridges of the round
+    # stay on none.  The peel flips its own removal flags over g's
+    # adjacency lists, which is all find_bridges reads.
+    work = Graph(0)
+    work.adjacency = adj
+    work.removed = peeled = list(removed)
+    left = g.live_count
+    while left:
         peel = [(u, v) for u, v in find_bridges(work) if partner[u] == v]
         if not peel:
             break
         for u, v in peel:
-            work.remove_vertex(u)
-            work.remove_vertex(v)
-    if not work.live_count:
+            peeled[u] = peeled[v] = True
+        left -= 2 * len(peel)
+    if not left:
         return None
 
     # Kotzig: a connected graph with a unique perfect matching has a
     # matched bridge, so the stalled remainder has an alternating cycle
     # and the exact search below must find it through some pair.
-    rest = list(work.live_vertices())
+    rest = [u for u in live if not peeled[u]]
     idx = {u: i for i, u in enumerate(rest)}
-    local_adj = [[idx[v] for v in g.adjacency[u] if not peeled[v]] for u in rest]
+    local_adj = [[idx[v] for v in adj[u] if not peeled[v]] for u in rest]
     base_match = [idx[partner[u]] for u in rest]
     for u, v in m.pairs:
         if peeled[u]:

@@ -326,7 +326,10 @@ def test_bench_gclass_family(capsys):
     (["bench", "--sizes", "30", "--repetitions", "1", "--out", "{d}/b.csv"],
      "{d}/b.csv"),
 ])
-def test_unwritable_output_exit_2(tmp_path, capsys, argv, path):
+def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, argv, path):
+    def no_run(*args):
+        raise AssertionError("bench ran before its output was opened")
+    monkeypatch.setattr(cli, "bench_rows", no_run)
     d = str(tmp_path / "no-such-dir")
     code, out = run(capsys, [a.format(d=d) for a in argv])
     assert code == 2

@@ -1,11 +1,13 @@
 """Interval parsing, intersection graphs, and the matching sweep."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipm import (IntervalParseError, IntervalPMError, IntervalRep, Matching,
-                   enumerate_pms, intersection_graph, interval_pm,
+from unipm import (Graph, IntervalParseError, IntervalPMError, IntervalRep,
+                   Matching, enumerate_pms, intersection_graph, interval_pm,
                    interval_instance, normalize_endpoints, parse_intervals)
 
 NESTED_REP = IntervalRep(((1, 10), (2, 3), (4, 9), (5, 6)))
@@ -53,13 +55,26 @@ def test_intersection_disjoint_and_nested():
 
 
 def test_intersection_matches_pairwise_definition():
-    rep = interval_instance(9, seed=5)
-    g = intersection_graph(rep)
-    for u in range(9):
-        for v in range(u + 1, 9):
-            lu, ru = rep.intervals[u]
-            lv, rv = rep.intervals[v]
-            assert g.has_edge(u, v) == (max(lu, lv) < min(ru, rv))
+    for n, seed in [(0, 0), (1, 1), (9, 5), (40, 2), (80, 3), (150, 4)]:
+        rep = interval_instance(n, seed=seed)
+        g = intersection_graph(rep)
+        for u in range(n):
+            for v in range(u + 1, n):
+                lu, ru = rep.intervals[u]
+                lv, rv = rep.intervals[v]
+                assert g.has_edge(u, v) == (max(lu, lv) < min(ru, rv))
+        # the same adjacency, neighbor order included, as from_edges
+        # builds from the sweep's edges in the order the sweep meets them
+        active, edges = [], []
+        for v in sorted(range(n), key=lambda v: rep.intervals[v][0]):
+            l, r = rep.intervals[v]
+            while active and active[0][0] < l:
+                heapq.heappop(active)
+            edges.extend((v, w) for _, w in active)
+            heapq.heappush(active, (r, v))
+        ref = Graph.from_edges(n, edges)
+        assert g.adjacency == ref.adjacency
+        assert g.edge_count == ref.edge_count == len(edges)
 
 
 # ----------------------------------------------------------------- sweep

@@ -109,16 +109,43 @@ def _mid_chorded_chain():
     return g, m
 
 
-def test_unique_fallback_peels_to_witness():
+def _no_fallback(monkeypatch):
+    def boom(*args):
+        raise AssertionError("reached the peel or the per-pair search")
+    monkeypatch.setattr(uniqueness, "find_bridges", boom)
+    monkeypatch.setattr(uniqueness, "_augmenting_path", boom)
+
+
+def test_dfs_finds_mid_chorded_chain_witness(monkeypatch):
     g, m = _mid_chorded_chain()
+    assert not kotzig_peel(g, m)
+    _no_fallback(monkeypatch)
     w = is_unique_pm(g, m)
     assert w is not None and w.cycle == (30, 31, 33, 32, 30)
-    assert not kotzig_peel(g, m)
+
+
+def test_dfs_skips_degenerate_back_arcs(monkeypatch):
+    """The DFS from 0 runs 0 -> 3 -> 1 -> 7.  Its first back arc 7 -> 0
+    closes a cycle through the pair 0-1; then 7 -> 4 -> 6 pushes the
+    pair 6-7 and 6 -> 0 closes a second degenerate cycle.  After 4 and
+    6 are popped, 7 -> 5 -> 1 closes the clean cycle 1, 7, 5: the lower
+    position of the popped pair 6-7 must no longer count against it."""
+    g = g_of(8, [(1, 6), (6, 7), (3, 7), (0, 5), (2, 7), (0, 3), (3, 5),
+                 (2, 4), (0, 1), (4, 7), (1, 7)])
+    m = Matching([(0, 1), (2, 4), (3, 5), (6, 7)])
+    _no_fallback(monkeypatch)
+    w = is_unique_pm(g, m)
+    assert w is not None and w.cycle == (0, 1, 6, 7, 3, 5, 0)
+    _assert_witness(g, m, w)
 
 
 def test_unique_fallback_stalled_search_raises(monkeypatch):
-    # a search that finds nothing on a stalled peel is a bug, not "unique"
-    g, m = _mid_chorded_chain()
+    # every back arc of this graph's DFS closes a degenerate cycle and the
+    # peel stalls at once, so the per-pair search must find the witness;
+    # a search that finds nothing is a bug, not "unique"
+    g = g_of(6, [(0, 3), (0, 2), (3, 4), (4, 5), (1, 5), (0, 1), (2, 3), (1, 4)])
+    m = Matching([(0, 2), (1, 5), (3, 4)])
+    assert is_unique_pm(g, m).cycle == (0, 2, 3, 4, 5, 1, 0)
     monkeypatch.setattr(uniqueness, "_augmenting_path", lambda *args: None)
     with pytest.raises(RuntimeError, match="peel stalled"):
         is_unique_pm(g, m)
@@ -162,6 +189,20 @@ def test_verifier_agreement_random(n, seed):
     assert kotzig_peel(g, m) == unique
 
 
+def _assert_witness(g, m, w):
+    """w is a simple cycle of live edges alternating matched/unmatched,
+    starting matched, and swapping it gives a second perfect matching."""
+    verts = w.cycle
+    assert verts[0] == verts[-1]
+    assert len(set(verts[:-1])) == len(verts) - 1
+    for i in range(len(verts) - 1):
+        a, b = verts[i], verts[i + 1]
+        assert g.has_edge(a, b)
+        assert ((a, b) in m) == (i % 2 == 0)
+    m2 = w.swapped(m)
+    assert verify_pm(g, m2) and m2 != m
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(4, 8), st.integers(0, 10**6))
 def test_witness_swaps_to_second_pm(n, seed):
@@ -174,45 +215,63 @@ def test_witness_swaps_to_second_pm(n, seed):
     m = pms[0]
     w = is_unique_pm(g, m)
     assert w is not None
-    # cycle alternates matched/unmatched, starting matched
-    verts = w.cycle
-    assert verts[0] == verts[-1]
-    assert len(set(verts[:-1])) == len(verts) - 1
-    for i in range(len(verts) - 1):
-        a, b = verts[i], verts[i + 1]
-        assert g.has_edge(a, b)
-        assert ((a, b) in m) == (i % 2 == 0)
-    m2 = w.swapped(m)
-    assert verify_pm(g, m2) and m2 != m
+    _assert_witness(g, m, w)
+
+
+def _add_random_edges(g, k, rng):
+    n = g.n_total
+    added = 0
+    while added < k:
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b and not g.has_edge(a, b):
+            g.add_edge(a, b)
+            added += 1
+
+
+def _planted(n, rng):
+    """Random graph on n + 2 vertices with a planted perfect matching;
+    about half the time one matched pair is then lazily removed."""
+    order = list(range(n + 2))
+    rng.shuffle(order)
+    pairs = [(order[i], order[i + 1]) for i in range(0, n + 2, 2)]
+    g = Graph.from_edges(n + 2, pairs)
+    _add_random_edges(g, rng.randint(0, 2 * n), rng)
+    if rng.random() < 0.5:
+        u, v = pairs.pop()
+        g.remove_vertex(u)
+        g.remove_vertex(v)
+    return g, Matching(pairs)
 
 
 def test_verifiers_agree_beyond_oracle_reach():
     """Cross-check the verifier and the reference peel on graphs too large for
     the oracle: class members (all unique, rich in the odd structures
-    that force the exact fallback) and chord-perturbed variants (mostly
-    non-unique, often no longer claw-free -- neither verifier cares)."""
-    from unipm import pmincf, random_gclass
+    that force the exact fallback), members with 1-3 random chords
+    (mostly non-unique, often no longer claw-free -- neither verifier
+    cares) and random graphs with a planted perfect matching, some with
+    a lazily removed matched pair."""
+    from unipm import random_gclass
 
     rng = random.Random(0xBEEF)
-    for trial in range(40):
-        g, _ = random_gclass(rng.randint(3, 60), op2_bias=0.3,
+    cases = []
+    for _ in range(300):
+        g, _ = random_gclass(rng.randint(3, 120), op2_bias=rng.random(),
                              seed=rng.randrange(10**9))
         m = pmincf(g)
-        assert is_unique_pm(g, m) is None
-        assert kotzig_peel(g, m)
+        cases.append((g, m))
         h = g.copy()
-        n = h.n_total
-        added = 0
-        while added < 2:
-            a, b = rng.randrange(n), rng.randrange(n)
-            if a != b and not h.has_edge(a, b):
-                h.add_edge(a, b)
-                added += 1
-        w = is_unique_pm(h, m)
-        assert (w is None) == kotzig_peel(h, m)
+        _add_random_edges(h, rng.randint(1, 3), rng)
+        cases.append((h, m))
+    for _ in range(1000):
+        cases.append(_planted(2 * rng.randint(2, 60), rng))
+    witnesses = 0
+    for g, m in cases:
+        w = is_unique_pm(g, m)
+        assert (w is None) == kotzig_peel(g, m)
         if w is not None:
-            m2 = w.swapped(m)
-            assert verify_pm(h, m2) and m2 != m
+            witnesses += 1
+            _assert_witness(g, m, w)
+    assert witnesses > len(cases) // 3
 
 
 def _alternating_cycle_decomposition(m1: Matching, m2: Matching):
