@@ -4,8 +4,9 @@
 
 import time
 
-from unipm import (Graph, PmincfStats, clique_chain, decide_unique_clawfree,
-                   find_claw, pmincf, random_gclass, verify_pm)
+from unipm import (Graph, PmincfStats, clique_chain, find_claw, pmincf,
+                   random_gclass, verify_pm)
+from unipm.cli import decide
 
 paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
 print("paw is claw-free:", find_claw(paw) is None)
@@ -17,19 +18,27 @@ print("paw is claw-free:", find_claw(paw) is None)
 m = pmincf(paw, debug_checks=True)
 print("paw matching:", m.pairs)
 
-# decide_unique combines the matcher with the uniqueness verifier,
-# componentwise.
-print("paw unique:", decide_unique_clawfree(paw).pairs)
+# decide runs forcing first, then this matcher (on any graph: a claw
+# can make it fail, and then Edmonds' search takes over), and hands
+# each matching to the uniqueness verifier.  The paw's pendant vertex lets
+# forcing settle it before the matcher runs.
+d = decide(paw)
+print("paw:", d.method, d.matching.pairs)
 c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-print("C4 unique:", decide_unique_clawfree(c4))
+d = decide(c4)
+print("C4:", d.method, "unique" if d.unique else "not unique,",
+      "witness", d.witness.cycle)
 two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
-print("K2 + K2:", decide_unique_clawfree(two_k2).pairs)
+print("K2 + K2:", decide(two_k2).matching.pairs)
+star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+d = decide(star)
+print("K_{1,3}:", d.method, "-", d.reason)
 
 # The linearity story in numbers: cursor advances never exceed 2m,
 # because every adjacency list is traversed at most once.
 print("\nfamily sweep (chain of pendant-path attachments):")
 print(f"{'m':>9} {'advances':>9} {'2m':>9} {'seconds':>8}")
-for k in (3_000, 30_000, 300_000):
+for k in (3_000, 30_000):
     g, _ = clique_chain(k)
     stats = PmincfStats()
     t0 = time.perf_counter()

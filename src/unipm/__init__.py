@@ -1,19 +1,22 @@
 """Unique perfect matchings: verifiers, class-specific linear-time
 deciders, and a constructive characterization of the claw-free case.
+
+``unipm.cli.decide`` combines them into one decision for any graph.  It
+is not imported here, so that ``python -m unipm.cli`` does not load the
+module twice.
 """
 
 from .graph import (Graph, GraphParseError, Matching, connected_components,
-                    endblocks, find_bridges, find_claw, format_matching,
-                    is_clique, is_cograph_bruteforce, is_connected,
-                    is_simplicial, is_split_bruteforce, parse_graph,
-                    serialize_graph)
+                    find_bridges, find_claw, format_matching, is_clique,
+                    is_cograph_bruteforce, is_connected, is_simplicial,
+                    is_split_bruteforce, parse_graph, serialize_graph)
 from .uniqueness import (AlternatingCycleWitness, enumerate_pms, is_unique_pm,
-                         kotzig_peel, verify_pm)
+                         kotzig_peel, maximum_matching, verify_pm)
 from .forcing import ForcingCertificate, find_forcing_set, split_balance
 from .interval import (IntervalParseError, IntervalPMError, IntervalRep,
                        intersection_graph, interval_pm, normalize_endpoints,
                        parse_intervals)
-from .clawfree import PmincfStats, decide_unique_clawfree, pmincf
+from .clawfree import PmincfStats, pmincf
 from .gclass import (ConstructionTrace, InitStep, Op1Step, Op2Step,
                      OperationError, apply_op1, apply_op2, decompose,
                      format_trace, parse_trace, random_gclass, replay)
@@ -24,16 +27,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "GraphParseError", "Matching", "connected_components",
-    "endblocks", "find_bridges", "find_claw", "format_matching", "is_clique",
+    "find_bridges", "find_claw", "format_matching", "is_clique",
     "is_cograph_bruteforce", "is_connected", "is_simplicial",
     "is_split_bruteforce", "parse_graph", "serialize_graph",
     "AlternatingCycleWitness", "enumerate_pms", "is_unique_pm", "kotzig_peel",
-    "verify_pm",
+    "maximum_matching", "verify_pm",
     "ForcingCertificate", "find_forcing_set", "split_balance",
     "IntervalParseError", "IntervalPMError", "IntervalRep",
     "intersection_graph", "interval_pm", "normalize_endpoints",
     "parse_intervals",
-    "PmincfStats", "decide_unique_clawfree", "pmincf",
+    "PmincfStats", "pmincf",
     "ConstructionTrace", "InitStep", "Op1Step", "Op2Step", "OperationError",
     "apply_op1", "apply_op2", "decompose", "format_trace", "parse_trace",
     "random_gclass", "replay",

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, Matching, connected_components
-from .uniqueness import is_unique_pm
+from .graph import Graph, Matching, is_connected
 
 
 @dataclass
@@ -71,6 +70,11 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
     lm_updates = 0
     reseeds = 0
     lowest = 0  # monotone pointer to the lowest-id live vertex
+    if check_connectivity:
+        # a view of the live graph that follows the commits' removals
+        shell = Graph(0)
+        shell.adjacency = adj
+        shell.removed = removed
 
     while live >= 2:
         if not path:
@@ -173,9 +177,8 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
         removed[a] = 1
         removed[b] = 1
         live -= 2
-        if check_connectivity and live > 0:
-            assert _live_connected(adj, removed, live), \
-                "live graph disconnected after commit"
+        if check_connectivity:
+            assert is_connected(shell), "live graph disconnected after commit"
 
     if stats is not None:
         stats.cursor_advances += advances
@@ -206,38 +209,3 @@ def _assert_no_extension(adj, removed, pos, lm_nb, path) -> None:
         for w in adj[a]:
             assert removed[w] or pos[w] >= 0, \
                 f"swap-extension via {a}->{w} available at commit"
-
-
-def _live_connected(adj, removed, live) -> bool:
-    n = len(adj)
-    start = next((u for u in range(n) if not removed[u]), -1)
-    if start < 0:
-        return True
-    seen = [False] * n
-    seen[start] = True
-    stack = [start]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not removed[w] and not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == live
-
-
-def decide_unique_clawfree(g: Graph) -> Matching | None:
-    """The unique perfect matching of a claw-free graph, or None.
-
-    Components of odd order rule out a perfect matching immediately.
-    Otherwise the greedy matcher runs (its reseed step walks components
-    one by one, so a single pass covers disconnected even-order input)
-    and the result is kept only if the uniqueness verifier agrees.
-    """
-    if g.live_count % 2:
-        return None
-    if any(len(c) % 2 for c in connected_components(g)):
-        return None
-    m = pmincf(g)
-    return m if is_unique_pm(g, m) is None else None

@@ -1,10 +1,15 @@
 """Command-line front end: unique-perfect-matching tools.
 
+``decide`` is the one uniqueness decision behind ``unipm check`` and
+the library: forcing, then the greedy claw-free matcher on any graph
+(its output guarded by ``verify_pm``), then Edmonds' maximum matching
+when the greedy matcher fails; the uniqueness verifier settles every
+matching found.  The layers are called through this module's names, so
+a tracer that wraps them sees every layer of a decision.
+
 Exit codes: 0 success / unique, 1 no unique perfect matching, 2 input
-error (an unreadable input or an unwritable output path), 3 undecided
-(no class-specific algorithm applies and the graph is too large for the
-oracle), 4 internal error (a self-check of the program failed; the
-message names it).
+error (an unreadable input or an unwritable output path), 4 internal
+error (a self-check of the program failed; the message names it).
 """
 
 from __future__ import annotations
@@ -14,22 +19,23 @@ import contextlib
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 from .clawfree import PmincfStats, pmincf
 from .forcing import find_forcing_set
 from .gclass import decompose, format_trace, parse_trace, random_gclass, replay
 from .generators import (clique_chain, cograph_instance, interval_instance,
                          split_instance)
-from .graph import (Graph, GraphParseError, connected_components, find_claw,
-                    format_matching, parse_graph, serialize_graph)
+from .graph import (Graph, GraphParseError, Matching, connected_components,
+                    find_claw, format_matching, parse_graph, serialize_graph)
 from .interval import (IntervalParseError, IntervalPMError, intersection_graph,
                        interval_pm, parse_intervals)
-from .uniqueness import enumerate_pms, is_unique_pm
+from .uniqueness import (AlternatingCycleWitness, enumerate_pms, is_unique_pm,
+                         maximum_matching, verify_pm)
 
 EXIT_OK = 0
 EXIT_NOT_UNIQUE = 1
 EXIT_INPUT = 2
-EXIT_UNDECIDED = 3
 EXIT_INTERNAL = 4
 
 BENCH_SCHEMA = "unipm-bench-1"
@@ -76,56 +82,83 @@ def _seed_from(args) -> int:
     return args.seed
 
 
-# the proof behind each method that settles uniqueness before the verifier runs
-_PROOFS = {"forcing": "forcing certificate", "oracle": "oracle count"}
+@dataclass(frozen=True)
+class Decision:
+    """Whether a graph has a unique perfect matching, and the proof.
 
-
-def _verdict(g: Graph, start: float, method: str, matching=None,
-             reason: str | None = None, settled: bool | None = None) -> int:
-    """Verify a candidate perfect matching, print the verdict, return the
-    exit code.
-
-    ``matching`` is None when ``reason`` says why there is none.
-    ``settled`` is the uniqueness the method has already proved, which
-    the verifier must confirm.
+    ``method`` names what found the matching: ``forcing``, ``clawfree``
+    (the greedy matcher, or its odd-order-component precheck),
+    ``edmonds`` or ``interval``.  ``matching`` is a perfect matching, or
+    None when ``reason`` says why there is none; ``witness`` is an
+    alternating cycle through it when it is not the only one.
     """
-    witness = None if matching is None else is_unique_pm(g, matching)
-    unique = matching is not None and witness is None
-    if settled is not None and settled != unique:
-        raise RuntimeError(f"{_PROOFS[method]} contradicts verifier")
-    _emit("method", method)
-    _emit("verdict", "unique" if unique else "not-unique")
-    if reason is not None:
-        _emit("reason", reason)
+
+    method: str
+    matching: Matching | None = None
+    witness: AlternatingCycleWitness | None = None
+    reason: str | None = None
+
+    @property
+    def unique(self) -> bool:
+        return self.matching is not None and self.witness is None
+
+
+def _decision(g: Graph, method: str, matching: Matching) -> Decision:
+    """The decision on a perfect matching of g: unique unless the
+    verifier finds a witness."""
+    return Decision(method, matching, is_unique_pm(g, matching))
+
+
+def decide(g: Graph) -> Decision:
+    """Decide whether g has a unique perfect matching; any graph will do.
+
+    Forcing settles the graph when its degree-1 elimination empties it.
+    Otherwise a component of odd order rules out a perfect matching, the
+    greedy claw-free matcher runs without a claw check (a ValueError or
+    an invalid result only means it does not apply), and Edmonds'
+    maximum matching takes over when it fails.  Raises RuntimeError if
+    forcing's certificate and the verifier disagree.
+    """
+    cert = find_forcing_set(g)
+    if cert is not None:
+        d = _decision(g, "forcing", cert.matching)
+        if d.witness is not None:
+            raise RuntimeError("forcing certificate contradicts verifier")
+        return d
+    if g.live_count % 2 or any(len(c) % 2 for c in connected_components(g)):
+        return Decision("clawfree",
+                        reason="odd-order component has no perfect matching")
+    try:
+        m = pmincf(g)
+    except ValueError:
+        m = None
+    if m is not None and verify_pm(g, m):
+        return _decision(g, "clawfree", m)
+    m = maximum_matching(g)
+    if 2 * len(m) < g.live_count:
+        return Decision("edmonds", reason="no perfect matching")
+    return _decision(g, "edmonds", m)
+
+
+def _verdict(d: Decision, start: float) -> int:
+    """Print a decision and the time since start; return the exit code."""
+    _emit("method", d.method)
+    _emit("verdict", "unique" if d.unique else "not-unique")
+    if d.reason is not None:
+        _emit("reason", d.reason)
     _emit("elapsed_s", f"{time.perf_counter() - start:.6f}")
-    if witness is not None:
-        _emit("witness", " ".join(map(str, witness.cycle)))
-    elif matching is not None:
-        sys.stdout.write(format_matching(matching))
-    return EXIT_OK if unique else EXIT_NOT_UNIQUE
+    if d.witness is not None:
+        _emit("witness", " ".join(map(str, d.witness.cycle)))
+    elif d.matching is not None:
+        sys.stdout.write(format_matching(d.matching))
+    return EXIT_OK if d.unique else EXIT_NOT_UNIQUE
 
 
 def _cmd_check(args) -> int:
     g = _load_graph(args.file)
     _header("check", args.file, g)
     start = time.perf_counter()
-    cert = find_forcing_set(g)
-    if cert is not None:
-        return _verdict(g, start, "forcing", cert.matching, settled=True)
-    if find_claw(g) is None:
-        if g.live_count % 2 or any(len(c) % 2 for c in connected_components(g)):
-            return _verdict(g, start, "clawfree",
-                            reason="odd-order component has no perfect matching")
-        return _verdict(g, start, "clawfree", pmincf(g))
-    if g.live_count <= args.oracle_cap:
-        pms = enumerate_pms(g, 2)
-        if not pms:
-            return _verdict(g, start, "oracle", reason="no perfect matching")
-        return _verdict(g, start, "oracle", pms[0], settled=len(pms) == 1)
-    _emit("method", "none")
-    _emit("verdict", "undecided-class")
-    _emit("reason", f"graph has a claw and more than {args.oracle_cap} vertices")
-    return EXIT_UNDECIDED
+    return _verdict(decide(g), start)
 
 
 def _cmd_force(args) -> int:
@@ -147,10 +180,10 @@ def _cmd_interval(args) -> int:
     _header("interval", args.file, g)
     start = time.perf_counter()
     try:
-        m = interval_pm(rep)
+        d = _decision(g, "interval", interval_pm(rep))
     except IntervalPMError as exc:
-        return _verdict(g, start, "interval", reason=str(exc))
-    return _verdict(g, start, "interval", m)
+        d = Decision("interval", reason=str(exc))
+    return _verdict(d, start)
 
 
 def _cmd_clawfree(args) -> int:
@@ -301,14 +334,13 @@ def _cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unipm",
-        description="Decide and find unique perfect matchings for cographs, "
-                    "split graphs, interval graphs, and claw-free graphs.")
+        description="Decide and find unique perfect matchings in any graph, "
+                    "with linear-time paths for cographs, split graphs, "
+                    "interval graphs, and claw-free graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="auto-dispatch uniqueness decision")
+    p = sub.add_parser("check", help="decide uniqueness for any graph")
     p.add_argument("file")
-    p.add_argument("--oracle-cap", type=int, default=16,
-                   help="max order for the brute-force fallback")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("force", help="forcing-set elimination")

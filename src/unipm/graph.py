@@ -381,87 +381,6 @@ def find_bridges(g: Graph) -> set[tuple[int, int]]:
     return bridges
 
 
-def blocks(g: Graph) -> tuple[list[set[int]], set[int]]:
-    """Biconnected components of the live graph and its cutvertices.
-
-    Blocks are returned in DFS emission order (deterministic: roots and
-    neighbors in id order).  Requires a connected live graph with at
-    least 2 vertices.
-    """
-    if g.live_count < 2:
-        raise ValueError("blocks need at least 2 live vertices")
-    n = g.n_total
-    removed = g.removed
-    adj = g.adjacency
-    disc = [-1] * n
-    low = [0] * n
-    cutvertices: set[int] = set()
-    block_list: list[set[int]] = []
-    edge_stack: list[tuple[int, int]] = []
-    timer = 0
-    root = next(g.live_vertices())
-    disc[root] = low[root] = timer
-    timer += 1
-    root_children = 0
-    stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(adj[root]))]
-    while stack:
-        u, parent, it = stack[-1]
-        advanced = False
-        for w in it:
-            if removed[w] or w == parent:
-                continue
-            if disc[w] == -1:
-                if u == root:
-                    root_children += 1
-                edge_stack.append((u, w))
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, u, iter(adj[w])))
-                advanced = True
-                break
-            if disc[w] < disc[u]:
-                edge_stack.append((u, w))
-                if disc[w] < low[u]:
-                    low[u] = disc[w]
-        if not advanced:
-            stack.pop()
-            if parent != -1:
-                if low[u] < low[parent]:
-                    low[parent] = low[u]
-                if low[u] >= disc[parent]:
-                    # parent closes a block containing edge (parent, u)
-                    blk: set[int] = set()
-                    while edge_stack:
-                        a, b = edge_stack.pop()
-                        blk.add(a)
-                        blk.add(b)
-                        if (a, b) == (parent, u):
-                            break
-                    block_list.append(blk)
-                    if parent != root:
-                        cutvertices.add(parent)
-    if timer < g.live_count:  # the DFS numbered only the root's component
-        raise ValueError("disconnected input")
-    if root_children >= 2:
-        cutvertices.add(root)
-    return block_list, cutvertices
-
-
-def endblocks(g: Graph) -> list[tuple[set[int], int | None]]:
-    """Blocks containing at most one cutvertex, with that cutvertex.
-
-    For a 2-connected graph (or a single edge) the unique block is
-    returned with cutvertex None.
-    """
-    block_list, cuts = blocks(g)
-    out = []
-    for blk in block_list:
-        inside = blk & cuts
-        if len(inside) <= 1:
-            out.append((blk, next(iter(inside)) if inside else None))
-    return out
-
-
 def is_cograph_bruteforce(g: Graph) -> bool:
     """True iff the live graph has no induced P4 (quadruple enumeration).
 

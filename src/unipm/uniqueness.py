@@ -4,6 +4,8 @@
 graphs.  ``is_unique_pm`` decides uniqueness of a given perfect
 matching, returning an alternating cycle when it is not unique;
 ``kotzig_peel`` is the plain matched-bridge peel it is tested against.
+``maximum_matching`` finds a matching when no class-specific method
+does.
 """
 
 from __future__ import annotations
@@ -163,58 +165,62 @@ def _augmenting_path(adj: list[list[int]], match: list[int], root: int,
 
     ``adj``/``match`` use compact local ids; the edge ``banned`` is
     ignored in both directions.  Returns the augmenting path (root to
-    the other exposed vertex) as a vertex list, or None.
+    the other exposed vertex) as a vertex list, or None.  The search
+    keeps state only for the vertices its tree reaches, so a search
+    that stops early costs little however large the graph is.
     """
-    n = len(adj)
-    p = [-1] * n
-    base = list(range(n))
-    used = [False] * n
-    used[root] = True
+    p: dict[int, int] = {}
+    base: dict[int, int] = {}  # a vertex missing here is its own base
+    used = {root}
+    tree = [root]
     q = deque([root])
     ba, bb = banned
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = set()
         while True:
-            a = base[a]
-            seen[a] = True
+            a = base.get(a, a)
+            seen.add(a)
             if match[a] == -1:
                 break
             a = p[match[a]]
         while True:
-            b = base[b]
-            if seen[b]:
+            b = base.get(b, b)
+            if b in seen:
                 return b
             b = p[match[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
+        while base.get(v, v) != b:
+            mv = match[v]
+            blossom.add(base.get(v, v))
+            blossom.add(base.get(mv, mv))
             p[v] = child
-            child = match[v]
-            v = p[match[v]]
+            child = mv
+            v = p[mv]
 
     while q:
         v = q.popleft()
         for to in adj[v]:
             if (v == ba and to == bb) or (v == bb and to == ba):
                 continue
-            if base[v] == base[to] or match[v] == to:
+            if base.get(v, v) == base.get(to, to) or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and p[match[to]] != -1):
+            if to == root or (match[to] != -1 and match[to] in p):
                 # to is an even vertex: an odd cycle (blossom) closes
                 curbase = lca(v, to)
-                blossom = [False] * n
+                blossom: set[int] = set()
                 mark_path(v, curbase, to, blossom)
                 mark_path(to, curbase, v, blossom)
-                for i in range(n):
-                    if blossom[base[i]]:
+                grown = []
+                for i in tree:
+                    if base.get(i, i) in blossom:
                         base[i] = curbase
-                        if not used[i]:
-                            used[i] = True
-                            q.append(i)
-            elif p[to] == -1:
+                        if i not in used:
+                            used.add(i)
+                            grown.append(i)
+                q.extend(sorted(grown))  # id order, as a scan over all ids
+            elif to not in p:
                 p[to] = v
                 if match[to] == -1:
                     # exposed: rebuild the augmenting path back to root
@@ -229,9 +235,48 @@ def _augmenting_path(adj: list[list[int]], match: list[int], root: int,
                         path.append(w)
                     path.reverse()
                     return path
-                used[match[to]] = True
+                tree.append(to)
+                tree.append(match[to])
+                used.add(match[to])
                 q.append(match[to])
     return None
+
+
+def _local(adj: list[list[int]],
+           removed: Sequence[bool]) -> tuple[list[int], list[list[int]]]:
+    """The live vertices in id order, and their adjacency over local ids
+    (a live vertex's index in that list)."""
+    rest = [u for u in range(len(adj)) if not removed[u]]
+    idx = {u: i for i, u in enumerate(rest)}
+    return rest, [[idx[v] for v in adj[u] if not removed[v]] for u in rest]
+
+
+def maximum_matching(g: Graph) -> Matching:
+    """A maximum matching of the live graph: Edmonds' blossom algorithm.
+
+    A greedy pass matches what it can; then each vertex it left exposed
+    roots one blossom BFS, and an augmenting path found there flips.
+    An exposed vertex with no augmenting path never gets one later
+    (Edmonds), so one pass over the roots suffices.  Each BFS can
+    relabel O(n) vertices per blossom it contracts: O(n^3) in the worst
+    case.  The result is perfect iff the graph has a perfect matching.
+    """
+    rest, adj = _local(g.adjacency, g.removed)
+    match = [-1] * len(adj)
+    for u, nbrs in enumerate(adj):
+        if match[u] == -1:
+            for v in nbrs:
+                if match[v] == -1:
+                    match[u], match[v] = v, u
+                    break
+    for root in range(len(adj)):
+        if match[root] == -1:
+            path = _augmenting_path(adj, match, root, (-1, -1))
+            if path is not None:
+                for i in range(0, len(path), 2):
+                    a, b = path[i], path[i + 1]
+                    match[a], match[b] = b, a
+    return Matching((rest[u], rest[v]) for u, v in enumerate(match) if u < v)
 
 
 def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
@@ -303,9 +348,8 @@ def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
     # Kotzig: a connected graph with a unique perfect matching has a
     # matched bridge, so the stalled remainder has an alternating cycle
     # and the exact search below must find it through some pair.
-    rest = [u for u in live if not peeled[u]]
+    rest, local_adj = _local(adj, peeled)
     idx = {u: i for i, u in enumerate(rest)}
-    local_adj = [[idx[v] for v in adj[u] if not peeled[v]] for u in rest]
     base_match = [idx[partner[u]] for u in rest]
     for u, v in m.pairs:
         if peeled[u]:

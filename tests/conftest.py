@@ -126,3 +126,18 @@ def small_corpus() -> list[CorpusEntry]:
             pms = tuple(enumerate_pms(g, 2))
             entries.append(CorpusEntry(n, tuple(edges), g, pms))
     return entries
+
+
+N8_SAMPLE_SIZE = 10_000
+
+
+@pytest.fixture(scope="session")
+def n8_sample():
+    """Seeded random connected graphs on 8 vertices with oracle output."""
+    rng = random.Random(0xC1)
+    sample = []
+    for i in range(N8_SAMPLE_SIZE):
+        p = (0.25, 0.35, 0.5)[i % 3]
+        g = Graph.from_edges(8, random_connected_edge_set(8, rng, p=p))
+        sample.append((g, tuple(enumerate_pms(g, 2))))
+    return sample

@@ -15,8 +15,6 @@ import random
 import statistics
 import time
 
-import pytest
-
 from unipm import (Graph, IntervalPMError, PmincfStats, decompose,
                    enumerate_pms, find_bridges, find_claw, find_forcing_set,
                    interval_instance, intersection_graph, interval_pm,
@@ -25,9 +23,8 @@ from unipm import (Graph, IntervalPMError, PmincfStats, decompose,
                    verify_pm)
 from unipm.cli import bench_rows
 
-from conftest import iter_connected_edge_sets, random_connected_edge_set
+from conftest import iter_connected_edge_sets
 
-N8_SAMPLE_SIZE = 10_000
 INTERVAL_SAMPLE_SIZE = 10_000
 GCLASS_SAMPLE_SIZE = 1_000
 TRACE_SAMPLE_SIZE = 1_000
@@ -35,18 +32,6 @@ TRACE_SAMPLE_SIZE = 1_000
 
 def report(criterion: int, detail: str) -> None:
     print(f"\nCRITERION {criterion}: PASS — {detail}")
-
-
-@pytest.fixture(scope="session")
-def n8_sample():
-    """Seeded random connected graphs on 8 vertices with oracle output."""
-    rng = random.Random(0xC1)
-    sample = []
-    for i in range(N8_SAMPLE_SIZE):
-        p = (0.25, 0.35, 0.5)[i % 3]
-        g = Graph.from_edges(8, random_connected_edge_set(8, rng, p=p))
-        sample.append((g, tuple(enumerate_pms(g, 2))))
-    return sample
 
 
 def test_criterion_1_oracle_triangulation(small_corpus, n8_sample):

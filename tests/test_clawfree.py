@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipm import (Graph, Matching, PmincfStats, decide_unique_clawfree,
-                   enumerate_pms, find_claw, pmincf, random_gclass, verify_pm)
+from unipm import (Graph, Matching, PmincfStats, cli, enumerate_pms,
+                   find_claw, pmincf, random_gclass, verify_pm)
+from unipm.cli import decide
 
-from conftest import (C4_EDGES, C6_EDGES, PAW_EDGES, g_of,
+from conftest import (C4_EDGES, C6_EDGES, STAR_EDGES, g_of,
                       iter_connected_edge_sets, random_connected_edge_set)
 
 
@@ -43,6 +44,12 @@ def test_pmincf_disconnected_odd_parts_detected():
         pmincf(g)
 
 
+def test_pmincf_connectivity_check_fires():
+    # on the claw K_{1,3} the first commit strands two leaves
+    with pytest.raises(AssertionError, match="disconnected after commit"):
+        pmincf(g_of(4, STAR_EDGES), check_connectivity=True)
+
+
 def test_pmincf_empty():
     assert pmincf(Graph(0)) == Matching([])
 
@@ -70,7 +77,7 @@ def test_pmincf_skips_removed_vertices():
     stats = PmincfStats()
     assert pmincf(g, stats=stats, debug_checks=True) == Matching([(0, 1)])
     assert stats.cursor_advances > 2 * g.edge_count
-    assert decide_unique_clawfree(g) == Matching([(0, 1)])
+    assert decide(g).matching == Matching([(0, 1)])
 
 
 def test_pmincf_exhaustive_clawfree_small():
@@ -101,39 +108,66 @@ def test_pmincf_on_random_class_members(steps, bias, seed):
 # ------------------------------------------------------------ decide
 
 def test_decide_paw(paw):
-    assert decide_unique_clawfree(paw) == Matching([(0, 3), (1, 2)])
+    d = decide(paw)
+    assert d.unique and d.matching == Matching([(0, 3), (1, 2)])
 
 
 def test_decide_c4_none():
-    assert decide_unique_clawfree(g_of(4, C4_EDGES)) is None
+    d = decide(g_of(4, C4_EDGES))
+    assert not d.unique and d.witness is not None
 
 
 def test_decide_disconnected_k2s():
-    g = g_of(4, [(0, 1), (2, 3)])
-    assert decide_unique_clawfree(g) == Matching([(0, 1), (2, 3)])
+    d = decide(g_of(4, [(0, 1), (2, 3)]))
+    assert d.unique and d.matching == Matching([(0, 1), (2, 3)])
 
 
 def test_decide_odd_component_none():
     g = g_of(8, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7)])
-    assert decide_unique_clawfree(g) is None
+    d = decide(g)
+    assert not d.unique and d.matching is None
+    assert d.reason == "odd-order component has no perfect matching"
 
 
 def test_decide_odd_order_none():
-    assert decide_unique_clawfree(g_of(3, [(0, 1), (1, 2)])) is None
+    d = decide(g_of(3, [(0, 1), (1, 2)]))
+    assert not d.unique and d.matching is None
 
 
-def test_decide_agreement_with_oracle_exhaustive():
-    for n in (2, 4, 6):
+def test_decide_discards_an_invalid_greedy_matching(monkeypatch):
+    # verify_pm guards the greedy matcher's output; Edmonds takes over
+    monkeypatch.setattr(cli, "pmincf", lambda g: Matching([(0, 2), (1, 3)]))
+    d = decide(g_of(4, C4_EDGES))
+    assert d.method == "edmonds" and d.witness is not None
+
+
+def _assert_agrees(g, pms, d):
+    """d is the oracle's answer: its one matching, a witness of a second
+    one, or no matching at all."""
+    assert d.unique == (len(pms) == 1), g.live_edges()
+    if d.unique:
+        assert d.matching == pms[0], g.live_edges()
+    elif pms:
+        second = d.witness.swapped(d.matching)
+        assert second != d.matching and verify_pm(g, second), g.live_edges()
+    else:
+        assert d.matching is None, g.live_edges()
+
+
+def test_decide_agreement_with_oracle_exhaustive(small_corpus, n8_sample):
+    """Every connected graph with n <= 6 and the n = 8 sample, clawed
+    graphs included; every method decides some of them."""
+    graphs = [(e.graph, e.pms) for e in small_corpus] + list(n8_sample)
+    for n in (1, 3, 5):
         for edges in iter_connected_edge_sets(n):
             g = Graph.from_edges(n, edges)
-            if find_claw(g) is not None:
-                continue
-            pms = enumerate_pms(g, 2)
-            got = decide_unique_clawfree(g)
-            if len(pms) == 1:
-                assert got == pms[0]
-            else:
-                assert got is None
+            graphs.append((g, tuple(enumerate_pms(g, 2))))
+    methods = set()
+    for g, pms in graphs:
+        d = decide(g)
+        _assert_agrees(g, pms, d)
+        methods.add(d.method)
+    assert methods == {"forcing", "clawfree", "edmonds"}
 
 
 @settings(max_examples=80, deadline=None)
@@ -142,8 +176,4 @@ def test_decide_agreement_with_oracle_random(n, seed):
     if n % 2:
         n += 1
     g = Graph.from_edges(n, random_connected_edge_set(n, random.Random(seed)))
-    if find_claw(g) is not None:
-        return
-    pms = enumerate_pms(g, 2)
-    got = decide_unique_clawfree(g)
-    assert (got is not None) == (len(pms) == 1)
+    _assert_agrees(g, enumerate_pms(g, 2), decide(g))

@@ -1,17 +1,20 @@
 """Command-line interface: dispatch, exit codes, reproducibility."""
 
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import unipm
-from unipm import (AlternatingCycleWitness, cli, parse_graph, parse_trace,
-                   random_gclass, replay, serialize_graph)
+from unipm import (AlternatingCycleWitness, cli, enumerate_pms, find_claw,
+                   format_matching, parse_graph, parse_trace, random_gclass,
+                   replay, serialize_graph)
 from unipm.cli import main
 
-from conftest import C4_EDGES, FLOWER_EDGES, PAW_EDGES, g_of, mid_chorded_chain
+from conftest import (C4_EDGES, FLOWER_EDGES, PAW_EDGES, g_of,
+                      mid_chorded_chain, random_connected_edge_set)
 
 
 def write(tmp_path, name, content):
@@ -64,17 +67,18 @@ def test_check_clawed_graph_small_uses_oracle(tmp_path, capsys):
     star = write(tmp_path, "star.g", "4 3\n0 1\n0 2\n0 3\n")
     code, out = run(capsys, ["check", star])
     assert code == 1
-    assert "method: oracle" in out
+    assert "method: edmonds" in out
     assert "reason: no perfect matching" in out
 
 
-def test_check_clawed_graph_large_undecided(tmp_path, capsys):
-    # a star with 17 leaves stays beyond the default oracle cap
+def test_check_clawed_graph_large_no_perfect_matching(tmp_path, capsys):
+    # a star with 17 leaves: forcing and the greedy matcher both fail
     edges = "\n".join(f"0 {i}" for i in range(1, 18))
     f = write(tmp_path, "bigstar.g", f"18 17\n{edges}\n")
     code, out = run(capsys, ["check", f])
-    assert code == 3
-    assert "verdict: undecided-class" in out
+    assert code == 1
+    assert "verdict: not-unique" in out
+    assert "reason: no perfect matching" in out
 
 
 def test_check_odd_order_components_not_unique(tmp_path, capsys):
@@ -93,7 +97,7 @@ def test_check_oracle_not_unique_witness(tmp_path, capsys):
     f = write(tmp_path, "multi.g", "6 6\n0 2\n0 4\n0 5\n1 4\n1 5\n2 3\n")
     code, out = run(capsys, ["check", f])
     assert code == 1
-    assert "method: oracle" in out
+    assert "method: clawfree" in out
     assert "verdict: not-unique" in out
     assert "witness: 0 4 1 5 0\n" in out
     assert "reason:" not in out
@@ -105,20 +109,60 @@ def test_check_oracle_unique(tmp_path, capsys):
     f = write(tmp_path, "uni.g", "8 11\n" + edges)
     code, out = run(capsys, ["check", f])
     assert code == 0
-    assert "method: oracle" in out
+    assert "method: clawfree" in out
     assert "verdict: unique" in out
     assert out.endswith("0 4\n1 6\n2 3\n5 7\n")
+
+
+def test_check_edmonds_when_greedy_matcher_fails(tmp_path, capsys):
+    # no degree-1 vertex, and the greedy matcher strands vertex 5; a
+    # perfect matching exists, so Edmonds' search finds one and the
+    # verifier a second
+    edges = [(0, 2), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5)]
+    g = g_of(6, edges)
+    assert cli.find_forcing_set(g) is None
+    with pytest.raises(ValueError):
+        cli.pmincf(g)
+    code, out = run(capsys, ["check", write(tmp_path, "g.g", serialize_graph(g))])
+    assert code == 1
+    assert "method: edmonds" in out
+    assert "verdict: not-unique" in out
+    assert "witness: 1 3 2 5 1\n" in out
+
+
+def test_check_decides_clawed_graphs_beyond_forcing(tmp_path, capsys):
+    # clawed graphs on 17-20 vertices that forcing cannot decide: check
+    # answers each as the oracle does, never undecided
+    rng = random.Random(0x17)
+    seen = set()
+    done = 0
+    while done < 40:
+        n = 17 + done % 4
+        edges = random_connected_edge_set(n, rng, rng.choice((0.15, 0.25)))
+        g = g_of(n, edges)
+        if find_claw(g) is None or cli.find_forcing_set(g) is not None:
+            continue
+        code, out = run(capsys, ["check", write(tmp_path, "g.g", serialize_graph(g))])
+        pms = enumerate_pms(g, 2)
+        fields = dict(ln.split(": ", 1) for ln in out.splitlines() if ": " in ln)
+        seen.add(fields["method"])
+        if len(pms) == 1:
+            assert code == 0 and fields["verdict"] == "unique"
+            assert out.endswith(format_matching(pms[0]))
+        else:
+            assert code == 1 and fields["verdict"] == "not-unique"
+            assert ("witness" in fields) == bool(pms)
+        done += 1
+    assert seen == {"clawfree", "edmonds"}
 
 
 @pytest.mark.parametrize("name, content, fake, message", [
     ("paw.g", "4 4\n0 1\n0 2\n1 2\n0 3\n", AlternatingCycleWitness((0, 1, 2, 3, 0)),
      "forcing certificate contradicts verifier"),
-    ("multi.g", "6 6\n0 2\n0 4\n0 5\n1 4\n1 5\n2 3\n", None,
-     "oracle count contradicts verifier"),
 ])
 def test_check_verifier_contradiction_raises(tmp_path, capsys, monkeypatch,
                                              name, content, fake, message):
-    # a verifier that disagrees with a method's own proof is a bug, not a
+    # a verifier that disagrees with forcing's own proof is a bug, not a
     # verdict: one error line and the internal-error code, no traceback
     monkeypatch.setattr(cli, "is_unique_pm", lambda g, m: fake)
     code, out = run(capsys, ["check", write(tmp_path, name, content)])

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipm import (Graph, GraphParseError, Matching, endblocks, find_bridges,
-                   find_claw, format_matching, is_clique,
-                   is_cograph_bruteforce, is_connected, is_simplicial,
-                   is_split_bruteforce, parse_graph, serialize_graph)
+from unipm import (Graph, GraphParseError, Matching, find_bridges, find_claw,
+                   format_matching, is_clique, is_cograph_bruteforce,
+                   is_connected, is_simplicial, is_split_bruteforce,
+                   parse_graph, serialize_graph)
 
 from conftest import (C4_EDGES, C6_EDGES, K4_EDGES, P4_EDGES, PAW_EDGES,
                       STAR_EDGES, g_of, iter_connected_edge_sets,
@@ -244,41 +244,6 @@ def test_bridges_match_definition_random(n, seed):
 def test_bridges_respect_removal(paw):
     paw.remove_vertex(3)
     assert find_bridges(paw) == set()  # triangle remains
-
-
-# --------------------------------------------------------------- blocks
-
-def test_endblocks_paw(paw):
-    ebs = endblocks(paw)
-    assert sorted((frozenset(b), c) for b, c in ebs) == sorted(
-        [(frozenset({0, 1, 2}), 0), (frozenset({0, 3}), 0)])
-
-
-def test_endblocks_k2_and_cycle():
-    assert endblocks(g_of(2, [(0, 1)])) == [({0, 1}, None)]
-    c5 = g_of(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert endblocks(c5) == [({0, 1, 2, 3, 4}, None)]
-
-
-def test_endblocks_rejects_disconnected():
-    with pytest.raises(ValueError, match="disconnected"):
-        endblocks(g_of(4, [(0, 1), (2, 3)]))
-
-
-def test_blocks_cover_all_edges():
-    from unipm.graph import blocks
-    for n in (3, 4, 5):
-        for edges in iter_connected_edge_sets(n):
-            g = Graph.from_edges(n, edges)
-            blks, cuts = blocks(g)
-            covered = set()
-            for blk in blks:
-                covered.update(
-                    (u, v) for u in blk for v in blk
-                    if u < v and g.has_edge(u, v))
-            assert covered == set(g.live_edges())
-            for blk, cut in endblocks(g):
-                assert len(blk & cuts) <= 1
 
 
 # ------------------------------------------------------- class predicates

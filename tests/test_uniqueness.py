@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unipm import (Graph, Matching, enumerate_pms, is_unique_pm, kotzig_peel,
-                   pmincf, uniqueness, verify_pm)
+                   maximum_matching, pmincf, uniqueness, verify_pm)
 from unipm.uniqueness import _canonical_cycle
 
 from conftest import (C4_EDGES, FLOWER_EDGES, K4_EDGES, P4_EDGES, PAW_EDGES,
-                      g_of, mid_chorded_chain, random_connected_edge_set)
+                      g_of, iter_connected_edge_sets, mid_chorded_chain,
+                      random_connected_edge_set)
 
 
 # ----------------------------------------------------------------- oracle
@@ -312,3 +313,66 @@ def test_symmetric_difference_decomposes(n, seed):
     for i in range(len(pms)):
         for j in range(i + 1, len(pms)):
             assert _alternating_cycle_decomposition(pms[i], pms[j]) >= 1
+
+
+# -------------------------------------------------------- maximum_matching
+
+def _max_matching_size(g):
+    """Size of a maximum matching by exhaustive recursion (tiny graphs)."""
+    def best(left):
+        if not left:
+            return 0
+        u = min(left)
+        rest = left - {u}
+        return max([best(rest)] + [1 + best(rest - {v})
+                                   for v in g.live_neighbors(u) if v in rest])
+    return best(frozenset(g.live_vertices()))
+
+
+def _assert_maximum_matching(g):
+    """maximum_matching gives a matching of live edges, and it is perfect
+    iff the oracle finds a perfect matching."""
+    m = maximum_matching(g)
+    assert all(g.has_edge(u, v) for u, v in m.pairs)
+    assert (2 * len(m) == g.live_count) == bool(enumerate_pms(g, 1)), \
+        g.live_edges()
+    return m
+
+
+def test_maximum_matching_exhaustive():
+    for n in range(1, 7):
+        for edges in iter_connected_edge_sets(n):
+            g = Graph.from_edges(n, edges)
+            m = _assert_maximum_matching(g)
+            if n <= 5:
+                assert len(m) == _max_matching_size(g), edges
+
+
+def test_maximum_matching_random():
+    """Seeded random graphs on 7-20 vertices, sparse enough that many have
+    no perfect matching; every fourth loses one vertex lazily."""
+    rng = random.Random(0x3D)
+    perfect = 0
+    for i in range(420):
+        n = 7 + i % 14
+        g = Graph.from_edges(
+            n, random_connected_edge_set(n, rng, (0.15, 0.25, 0.35)[i % 3]))
+        if i % 4 == 0:
+            g.remove_vertex(rng.randrange(n))
+        perfect += 2 * len(_assert_maximum_matching(g)) == g.live_count
+    assert 0 < perfect < 420
+
+
+def test_maximum_matching_planted():
+    # beyond the oracle's reach: a planted perfect matching is always found
+    rng = random.Random(0x3E)
+    for _ in range(200):
+        g, _ = _planted(2 * rng.randint(5, 60), rng)
+        assert verify_pm(g, maximum_matching(g))
+
+
+def test_maximum_matching_edge_cases():
+    assert maximum_matching(Graph(0)) == Matching([])
+    assert maximum_matching(Graph(3)) == Matching([])
+    star = g_of(4, [(0, 1), (0, 2), (0, 3)])
+    assert len(maximum_matching(star)) == 1
