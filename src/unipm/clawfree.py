@@ -24,15 +24,6 @@ class PmincfStats:
     commits: int = 0
     edge_count: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "cursor_advances": self.cursor_advances,
-            "lm_nb_updates": self.lm_nb_updates,
-            "reseeds": self.reseeds,
-            "commits": self.commits,
-            "edge_count": self.edge_count,
-        }
-
 
 def pmincf(g: Graph, stats: PmincfStats | None = None,
            debug_checks: bool = False,

@@ -1,9 +1,9 @@
 """Command-line front end: unique-perfect-matching tools.
 
 ``decide`` is the one uniqueness decision behind ``unipm check`` and
-the library: forcing, then the greedy claw-free matcher on any graph
-(its output guarded by ``verify_pm``), then Edmonds' maximum matching
-when the greedy matcher fails; the uniqueness verifier settles every
+the library: forcing, then the greedy claw-free matcher on any graph,
+then Edmonds' maximum matching when the greedy matcher fails or the
+verifier rejects its output; the uniqueness verifier settles every
 matching found.  The layers are called through this module's names, so
 a tracer that wraps them sees every layer of a decision.
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from .graph import (Graph, GraphParseError, Matching, connected_components,
 from .interval import (IntervalParseError, IntervalPMError, intersection_graph,
                        interval_pm, parse_intervals)
 from .uniqueness import (AlternatingCycleWitness, enumerate_pms, is_unique_pm,
-                         maximum_matching, verify_pm)
+                         maximum_matching)
 
 EXIT_OK = 0
 EXIT_NOT_UNIQUE = 1
@@ -73,13 +72,6 @@ def _header(algorithm: str, path: str, g: Graph) -> None:
     _emit("instance", path)
     _emit("n", g.live_count)
     _emit("m", g.edge_count)
-
-
-def _seed_from(args) -> int:
-    env = os.environ.get("UNIPM_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
 
 
 @dataclass(frozen=True)
@@ -129,11 +121,10 @@ def decide(g: Graph) -> Decision:
         return Decision("clawfree",
                         reason="odd-order component has no perfect matching")
     try:
-        m = pmincf(g)
+        # is_unique_pm raises ValueError on a matching that is not perfect
+        return _decision(g, "clawfree", pmincf(g))
     except ValueError:
-        m = None
-    if m is not None and verify_pm(g, m):
-        return _decision(g, "clawfree", m)
+        pass
     m = maximum_matching(g)
     if 2 * len(m) < g.live_count:
         return Decision("edmonds", reason="no perfect matching")
@@ -214,11 +205,11 @@ def _cmd_clawfree(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    seed = _seed_from(args)
     prefix = args.out
     written = []
     if args.family == "gclass":
-        g, trace = random_gclass(args.steps, op2_bias=args.op2_bias, seed=seed)
+        g, trace = random_gclass(args.steps, op2_bias=args.op2_bias,
+                                 seed=args.seed)
         written.append((f"{prefix}.g", serialize_graph(g)))
         written.append((f"{prefix}.trace", format_trace(trace)))
     elif args.family == "clique-chain":
@@ -226,16 +217,16 @@ def _cmd_gen(args) -> int:
         written.append((f"{prefix}.g", serialize_graph(g)))
         written.append((f"{prefix}.trace", format_trace(trace)))
     elif args.family == "cograph":
-        g = cograph_instance(args.n, seed)
+        g = cograph_instance(args.n, args.seed)
         written.append((f"{prefix}.g", serialize_graph(g)))
     elif args.family == "split":
         if args.unique and args.n % 2:
             _emit("error", "unique split instances need even n")
             return EXIT_INPUT
-        g = split_instance(args.n, seed, unique=args.unique)
+        g = split_instance(args.n, args.seed, unique=args.unique)
         written.append((f"{prefix}.g", serialize_graph(g)))
     else:  # interval
-        rep = interval_instance(args.n, seed)
+        rep = interval_instance(args.n, args.seed)
         lines = [str(rep.n)]
         lines.extend(f"{v} {l} {r}" for v, (l, r) in enumerate(rep.intervals))
         written.append((f"{prefix}.iv", "\n".join(lines) + "\n"))
@@ -324,7 +315,7 @@ def _cmd_bench(args) -> int:
     # open --out before the run, so an unwritable path fails at once
     out = _output(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with out as fh:
-        rows = bench_rows(args.family, sizes, args.repetitions, _seed_from(args))
+        rows = bench_rows(args.family, sizes, args.repetitions, args.seed)
         lines = ["schema,family,n,m,rep,wall_time_s,cursor_advances,lm_nb_updates"]
         lines.extend(",".join(map(str, row)) for row in rows)
         fh.write("\n".join(lines) + "\n")

@@ -114,11 +114,13 @@ def _canonical_cycle(open_cycle: list[int],
     return tuple(rotated + [rotated[0]])
 
 
-def _clean_cycle(out: list[list[int]], order: list[int],
+def _clean_cycle(adj: list[list[int]], removed: Sequence[bool],
                  partner: list[int]) -> tuple[list[int] | None, bool]:
     """First directed cycle holding no vertex together with its partner.
 
-    One iterative DFS judges every back arc x -> w in O(1): ``pos`` is
+    The digraph has an arc x -> partner(y) for every live neighbour y
+    of x other than partner(x); the DFS reads these arcs off ``adj[x]``
+    as it goes.  It judges every back arc x -> w in O(1): ``pos`` is
     each on-stack state's stack position, and ``low[d]`` is the largest
     lower position of a vertex-partner pair with both states among the
     first d + 1 on the stack.  The stack segment from w to x holds such
@@ -127,26 +129,30 @@ def _clean_cycle(out: list[list[int]], order: list[int],
     DFS saw any back arc, i.e. whether the digraph is cyclic).
     """
     FINISHED = -2
-    pos = [-1] * len(out)
+    pos = [-1] * len(adj)
     cyclic = False
-    for s in order:
-        if pos[s] != -1:
+    for s in range(len(adj)):
+        if removed[s] or pos[s] != -1:
             continue
         pos[s] = 0
         path = [s]
         low = [-1]
-        stack = [iter(out[s])]
+        stack = [iter(adj[s])]
         while stack:
-            for w in stack[-1]:
+            px = partner[path[-1]]
+            for y in stack[-1]:
+                if removed[y] or y == px:
+                    continue
+                w = partner[y]
                 pw = pos[w]
                 if pw == -1:
-                    # a partner below on the stack has position >= 0
-                    q = pos[partner[w]]
+                    # w's partner y, if below on the stack, has position >= 0
+                    q = pos[y]
                     top = low[-1]
                     low.append(q if q > top else top)
                     pos[w] = len(path)
                     path.append(w)
-                    stack.append(iter(out[w]))
+                    stack.append(iter(adj[w]))
                     break
                 if pw >= 0:
                     if low[-1] < pw:
@@ -159,15 +165,17 @@ def _clean_cycle(out: list[list[int]], order: list[int],
     return None, cyclic
 
 
-def _augmenting_path(adj: list[list[int]], match: list[int], root: int,
-                     banned: tuple[int, int]) -> list[int] | None:
+def _augmenting_path(adj: list[list[int]], flagged: Sequence[bool],
+                     match: list[int], root: int, banned: tuple[int, int]
+                     ) -> tuple[list[int] | None, list[int]]:
     """One phase of blossom-contracted alternating BFS from an exposed root.
 
-    ``adj``/``match`` use compact local ids; the edge ``banned`` is
-    ignored in both directions.  Returns the augmenting path (root to
-    the other exposed vertex) as a vertex list, or None.  The search
-    keeps state only for the vertices its tree reaches, so a search
-    that stops early costs little however large the graph is.
+    Flagged neighbours are skipped, and the edge ``banned`` is ignored
+    in both directions.  Returns the augmenting path (root to the other
+    exposed vertex) as a vertex list, or None, together with the
+    vertices the search tree reached.  The search keeps state only for
+    those vertices, so a search that stops early costs little however
+    large the graph is.
     """
     p: dict[int, int] = {}
     base: dict[int, int] = {}  # a vertex missing here is its own base
@@ -202,7 +210,7 @@ def _augmenting_path(adj: list[list[int]], match: list[int], root: int,
     while q:
         v = q.popleft()
         for to in adj[v]:
-            if (v == ba and to == bb) or (v == bb and to == ba):
+            if flagged[to] or (v == ba and to == bb) or (v == bb and to == ba):
                 continue
             if base.get(v, v) == base.get(to, to) or match[v] == to:
                 continue
@@ -234,21 +242,12 @@ def _augmenting_path(adj: list[list[int]], match: list[int], root: int,
                         w = match[pw]
                         path.append(w)
                     path.reverse()
-                    return path
+                    return path, tree
                 tree.append(to)
                 tree.append(match[to])
                 used.add(match[to])
                 q.append(match[to])
-    return None
-
-
-def _local(adj: list[list[int]],
-           removed: Sequence[bool]) -> tuple[list[int], list[list[int]]]:
-    """The live vertices in id order, and their adjacency over local ids
-    (a live vertex's index in that list)."""
-    rest = [u for u in range(len(adj)) if not removed[u]]
-    idx = {u: i for i, u in enumerate(rest)}
-    return rest, [[idx[v] for v in adj[u] if not removed[v]] for u in rest]
+    return None, tree
 
 
 def maximum_matching(g: Graph) -> Matching:
@@ -256,27 +255,33 @@ def maximum_matching(g: Graph) -> Matching:
 
     A greedy pass matches what it can; then each vertex it left exposed
     roots one blossom BFS, and an augmenting path found there flips.
-    An exposed vertex with no augmenting path never gets one later
-    (Edmonds), so one pass over the roots suffices.  Each BFS can
-    relabel O(n) vertices per blossom it contracts: O(n^3) in the worst
-    case.  The result is perfect iff the graph has a perfect matching.
+    An exposed vertex with no augmenting path never gets one later, and
+    no later augmenting path enters its failed (Hungarian) tree
+    (Edmonds), so one pass over the roots suffices and each failed tree
+    is flagged dead for good.  Each BFS can relabel O(n) vertices per
+    blossom it contracts: O(n^3) in the worst case.  The result is
+    perfect iff the graph has a perfect matching.
     """
-    rest, adj = _local(g.adjacency, g.removed)
+    adj = g.adjacency
+    dead = list(g.removed)
     match = [-1] * len(adj)
     for u, nbrs in enumerate(adj):
-        if match[u] == -1:
+        if match[u] == -1 and not dead[u]:
             for v in nbrs:
-                if match[v] == -1:
+                if match[v] == -1 and not dead[v]:
                     match[u], match[v] = v, u
                     break
     for root in range(len(adj)):
-        if match[root] == -1:
-            path = _augmenting_path(adj, match, root, (-1, -1))
-            if path is not None:
+        if match[root] == -1 and not dead[root]:
+            path, tree = _augmenting_path(adj, dead, match, root, (-1, -1))
+            if path is None:
+                for u in tree:
+                    dead[u] = True
+            else:
                 for i in range(0, len(path), 2):
                     a, b = path[i], path[i + 1]
                     match[a], match[b] = b, a
-    return Matching((rest[u], rest[v]) for u, v in enumerate(match) if u < v)
+    return Matching((u, v) for u, v in enumerate(match) if u < v)
 
 
 def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
@@ -284,35 +289,25 @@ def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
 
     Fast path: the digraph with arcs x -> partner(y) and y -> partner(x)
     for every non-matching live edge {x, y}; a second perfect matching
-    gives a directed cycle in it.  One DFS decides most graphs: no back
-    arc means acyclic, hence unique, and the first back arc whose cycle
-    holds no vertex together with its partner expands directly to an
-    alternating cycle.  When every back arc closes such a degenerate
-    cycle (odd "flower" structures produce them even for unique
-    matchings), the decision falls back to peeling matched bridges, all
-    of a round's at once; if the peel stalls, an exact augmenting-path
-    search on the remainder finds the witness.  Raises RuntimeError if
-    that search finds none, which Kotzig's theorem rules out.
+    gives a directed cycle in it.  One DFS over g's adjacency lists
+    decides most graphs: no back arc means acyclic, hence unique, and
+    the first back arc whose cycle holds no vertex together with its
+    partner expands directly to an alternating cycle.  When every back
+    arc closes such a degenerate cycle (odd "flower" structures produce
+    them even for unique matchings), the decision falls back to peeling
+    matched bridges, all of a round's at once; if the peel stalls, an
+    exact augmenting-path search on the remainder finds the witness.
+    Raises RuntimeError if that search finds none, which Kotzig's
+    theorem rules out.
     """
     if not verify_pm(g, m):
         raise ValueError("matching is not a perfect matching of the graph")
     adj = g.adjacency
     removed = g.removed
-    n = len(adj)
-    partner = [-1] * n
+    partner = [-1] * len(adj)
     for u, v in m.partner.items():
         partner[u] = v
-    out: list[list[int]] = [[] for _ in range(n)]
-    live = [u for u in range(n) if not removed[u]]
-    for u in live:
-        pu = partner[u]
-        out_u = out[u]
-        for v in adj[u]:
-            if v > u and not removed[v] and pu != v:
-                out_u.append(partner[v])
-                out[v].append(pu)
-
-    cycle, cyclic = _clean_cycle(out, live, partner)
+    cycle, cyclic = _clean_cycle(adj, removed, partner)
     if cycle is not None:
         # expansion x1, partner(x2), x2, ..., xt, partner(x1), x1 is simple
         walk: list[int] = []
@@ -348,19 +343,14 @@ def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
     # Kotzig: a connected graph with a unique perfect matching has a
     # matched bridge, so the stalled remainder has an alternating cycle
     # and the exact search below must find it through some pair.
-    rest, local_adj = _local(adj, peeled)
-    idx = {u: i for i, u in enumerate(rest)}
-    base_match = [idx[partner[u]] for u in rest]
     for u, v in m.pairs:
         if peeled[u]:
             continue
-        iu, iv = idx[u], idx[v]
-        match = list(base_match)
-        match[iu] = match[iv] = -1
-        path = _augmenting_path(local_adj, match, iu, (iu, iv))
+        partner[u] = partner[v] = -1
+        path, _ = _augmenting_path(adj, peeled, partner, u, (u, v))
+        partner[u], partner[v] = v, u
         if path is not None:
-            open_cycle = [rest[i] for i in path]
-            return AlternatingCycleWitness(_canonical_cycle(open_cycle, partner))
+            return AlternatingCycleWitness(_canonical_cycle(path, partner))
     raise RuntimeError("matched-bridge peel stalled but no alternating cycle found")
 
 

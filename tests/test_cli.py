@@ -278,17 +278,6 @@ def test_gen_gclass_reproducible(tmp_path, capsys):
     assert replay(t).live_edges() == g.live_edges()
 
 
-def test_gen_seed_env_override(tmp_path, capsys, monkeypatch):
-    out1 = str(tmp_path / "a")
-    out2 = str(tmp_path / "b")
-    monkeypatch.setenv("UNIPM_SEED", "123")
-    main(["gen", "--family", "gclass", "--steps", "8", "--seed", "1", "--out", out1])
-    monkeypatch.delenv("UNIPM_SEED")
-    main(["gen", "--family", "gclass", "--steps", "8", "--seed", "123", "--out", out2])
-    capsys.readouterr()
-    assert (tmp_path / "a.g").read_bytes() == (tmp_path / "b.g").read_bytes()
-
-
 def test_gen_other_families(tmp_path, capsys):
     for family, extra in [("cograph", ["-n", "8"]), ("split", ["-n", "8"]),
                           ("interval", ["-n", "6"]), ("clique-chain", ["--steps", "5"])]:

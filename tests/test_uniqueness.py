@@ -144,12 +144,34 @@ def test_unique_fallback_stalled_search_raises(monkeypatch):
     # every back arc of this graph's DFS closes a degenerate cycle and the
     # peel stalls at once, so the per-pair search must find the witness;
     # a search that finds nothing is a bug, not "unique"
-    g = g_of(6, [(0, 3), (0, 2), (3, 4), (4, 5), (1, 5), (0, 1), (2, 3), (1, 4)])
-    m = Matching([(0, 2), (1, 5), (3, 4)])
-    assert is_unique_pm(g, m).cycle == (0, 2, 3, 4, 5, 1, 0)
-    monkeypatch.setattr(uniqueness, "_augmenting_path", lambda *args: None)
+    g = g_of(6, [(4, 5), (0, 5), (0, 4), (0, 3), (2, 3), (1, 3), (1, 2), (1, 5)])
+    m = Matching([(0, 4), (1, 5), (2, 3)])
+    assert is_unique_pm(g, m).cycle == (0, 4, 5, 1, 2, 3, 0)
+    monkeypatch.setattr(uniqueness, "_augmenting_path", lambda *args: (None, []))
     with pytest.raises(RuntimeError, match="peel stalled"):
         is_unique_pm(g, m)
+
+
+def test_unique_fallback_searches_after_peeling(monkeypatch):
+    """The DFS sees only degenerate back arcs, the peel removes the
+    matched bridge 3-7 and then stalls: the per-pair search runs with
+    3 and 7 flagged, and its witness avoids them."""
+    edges = [(0, 2), (2, 4), (0, 3), (2, 3), (0, 4), (2, 5), (0, 1), (4, 6),
+             (1, 8), (3, 7), (3, 9), (3, 6), (3, 4), (4, 5), (3, 8), (1, 9),
+             (5, 6), (5, 8), (8, 9)]
+    g = g_of(10, edges)
+    m = Matching([(0, 2), (1, 9), (3, 7), (4, 6), (5, 8)])
+    search = uniqueness._augmenting_path
+
+    def flagged_search(adj, flagged, *args):
+        assert flagged[3] and flagged[7] and sum(flagged) == 2
+        return search(adj, flagged, *args)
+
+    monkeypatch.setattr(uniqueness, "_augmenting_path", flagged_search)
+    w = is_unique_pm(g, m)
+    assert w is not None and w.cycle == (0, 2, 4, 6, 5, 8, 9, 1, 0)
+    assert not {3, 7} & set(w.cycle)
+    _assert_witness(g, m, w)
 
 
 def test_canonical_cycle_rejects_non_alternating():
@@ -275,6 +297,37 @@ def test_verifiers_agree_beyond_oracle_reach():
     assert witnesses > len(cases) // 3
 
 
+def test_verdict_ignores_edge_order():
+    """The DFS and the searches meet arcs in adjacency order, which is
+    edge-list order: the verdict must not depend on it.  Planted graphs
+    (some with a removed pair) and chorded class members, each rebuilt
+    from three shuffles of its edge list."""
+    from unipm import random_gclass
+
+    rng = random.Random(0x5EED)
+    cases = [_planted(2 * rng.randint(2, 40), rng) for _ in range(80)]
+    for _ in range(80):
+        g, _ = random_gclass(rng.randint(3, 60), op2_bias=rng.random(),
+                             seed=rng.randrange(10**9))
+        m = pmincf(g)
+        _add_random_edges(g, rng.randint(1, 3), rng)
+        cases.append((g, m))
+    for g, m in cases:
+        unique = is_unique_pm(g, m) is None
+        dead = [u for u in range(g.n_total) if g.removed[u]]
+        for _ in range(3):
+            edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                     for u, v in g.live_edges()]
+            rng.shuffle(edges)
+            h = Graph.from_edges(g.n_total, edges)
+            for u in dead:
+                h.remove_vertex(u)
+            w = is_unique_pm(h, m)
+            assert (w is None) == unique, edges
+            if w is not None:
+                _assert_witness(h, m, w)
+
+
 def _alternating_cycle_decomposition(m1: Matching, m2: Matching):
     """Components of the symmetric difference; each must be an even cycle
     alternating between the two matchings."""
@@ -376,3 +429,35 @@ def test_maximum_matching_edge_cases():
     assert maximum_matching(Graph(3)) == Matching([])
     star = g_of(4, [(0, 1), (0, 2), (0, 3)])
     assert len(maximum_matching(star)) == 1
+    a = 50  # K_{a,9a}: 8a exposed roots, all in one tree
+    kab = g_of(10 * a, [(u, v) for u in range(a) for v in range(a, 10 * a)])
+    assert len(maximum_matching(kab)) == a
+
+
+def test_maximum_matching_skips_failed_trees(monkeypatch):
+    """Edmonds: a root whose search fails never gets an augmenting path,
+    and no later search enters its tree."""
+    search = uniqueness._augmenting_path
+    failed: set[int] = set()
+    failures = 0
+
+    def recording_search(*args):
+        nonlocal failures
+        path, tree = search(*args)
+        assert not failed & set(tree)
+        if path is None:
+            failed.update(tree)
+            failures += 1
+        return path, tree
+
+    monkeypatch.setattr(uniqueness, "_augmenting_path", recording_search)
+    rng = random.Random(0x3F)
+    graphs = [g_of(30, [(u, v) for u in range(3) for v in range(3, 30)])]
+    for i in range(60):
+        n = 12 + i % 9
+        graphs.append(Graph.from_edges(
+            n, random_connected_edge_set(n, rng, (0.1, 0.2)[i % 2])))
+    for g in graphs:
+        failed.clear()
+        _assert_maximum_matching(g)
+    assert failures > len(graphs)
