@@ -69,27 +69,11 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
 
     while live >= 2:
         if not path:
+            # reseed; the end-extension finds the seed's first neighbor
             while lowest < n and removed[lowest]:
                 lowest += 1
-            u = lowest
-            nbrs = adj[u]
-            cu = cursor[u]
-            end = len(nbrs)
-            v = -1
-            while cu < end:
-                w = nbrs[cu]
-                if removed[w]:
-                    cu += 1
-                    advances += 1
-                else:
-                    v = w
-                    break
-            cursor[u] = cu
-            if v < 0:
-                raise ValueError("disconnected input")
-            path = [u, v]
-            pos[u] = 0
-            pos[v] = 1
+            path = [lowest]
+            pos[lowest] = 0
             reseeds += 1
 
         while True:

@@ -3,9 +3,10 @@
 ``decide`` is the one uniqueness decision behind ``unipm check`` and
 the library: forcing, then the greedy claw-free matcher on any graph,
 then Edmonds' maximum matching when the greedy matcher fails or the
-verifier rejects its output; the uniqueness verifier settles every
-matching found.  The layers are called through this module's names, so
-a tracer that wraps them sees every layer of a decision.
+verifier rejects its output.  Edmonds' search answers every graph with
+no perfect matching; the uniqueness verifier settles every matching.
+The layers are called through this module's names, so a tracer that
+wraps them sees every layer of a decision.
 
 Exit codes: 0 success / unique, 1 no unique perfect matching, 2 input
 error (an unreadable input or an unwritable output path), 4 internal
@@ -25,10 +26,10 @@ from .forcing import find_forcing_set
 from .gclass import decompose, format_trace, parse_trace, random_gclass, replay
 from .generators import (clique_chain, cograph_instance, interval_instance,
                          split_instance)
-from .graph import (Graph, GraphParseError, Matching, connected_components,
-                    find_claw, format_matching, parse_graph, serialize_graph)
-from .interval import (IntervalParseError, IntervalPMError, intersection_graph,
-                       interval_pm, parse_intervals)
+from .graph import (Graph, GraphParseError, Matching, find_claw,
+                    format_matching, parse_graph, serialize_graph)
+from .interval import (IntervalPMError, intersection_graph, interval_pm,
+                       parse_intervals)
 from .uniqueness import (AlternatingCycleWitness, enumerate_pms, is_unique_pm,
                          maximum_matching)
 
@@ -78,11 +79,11 @@ def _header(algorithm: str, path: str, g: Graph) -> None:
 class Decision:
     """Whether a graph has a unique perfect matching, and the proof.
 
-    ``method`` names what found the matching: ``forcing``, ``clawfree``
-    (the greedy matcher, or its odd-order-component precheck),
-    ``edmonds`` or ``interval``.  ``matching`` is a perfect matching, or
-    None when ``reason`` says why there is none; ``witness`` is an
-    alternating cycle through it when it is not the only one.
+    ``method`` names what found the matching, or showed there is none:
+    ``forcing``, ``clawfree`` (the greedy matcher), ``edmonds`` or
+    ``interval``.  ``matching`` is a perfect matching, or None when
+    ``reason`` says why there is none; ``witness`` is an alternating
+    cycle through it when it is not the only one.
     """
 
     method: str
@@ -105,11 +106,12 @@ def decide(g: Graph) -> Decision:
     """Decide whether g has a unique perfect matching; any graph will do.
 
     Forcing settles the graph when its degree-1 elimination empties it.
-    Otherwise a component of odd order rules out a perfect matching, the
-    greedy claw-free matcher runs without a claw check (a ValueError or
-    an invalid result only means it does not apply), and Edmonds'
-    maximum matching takes over when it fails.  Raises RuntimeError if
-    forcing's certificate and the verifier disagree.
+    Otherwise the greedy claw-free matcher runs without a claw check (a
+    ValueError or an invalid result only means it does not apply), and
+    Edmonds' maximum matching takes over when it fails; a maximum
+    matching that is not perfect means g has no perfect matching (odd
+    order, an odd-order component, or any other obstruction).  Raises
+    RuntimeError if forcing's certificate and the verifier disagree.
     """
     cert = find_forcing_set(g)
     if cert is not None:
@@ -117,9 +119,6 @@ def decide(g: Graph) -> Decision:
         if d.witness is not None:
             raise RuntimeError("forcing certificate contradicts verifier")
         return d
-    if g.live_count % 2 or any(len(c) % 2 for c in connected_components(g)):
-        return Decision("clawfree",
-                        reason="odd-order component has no perfect matching")
     try:
         # is_unique_pm raises ValueError on a matching that is not perfect
         return _decision(g, "clawfree", pmincf(g))
@@ -220,9 +219,6 @@ def _cmd_gen(args) -> int:
         g = cograph_instance(args.n, args.seed)
         written.append((f"{prefix}.g", serialize_graph(g)))
     elif args.family == "split":
-        if args.unique and args.n % 2:
-            _emit("error", "unique split instances need even n")
-            return EXIT_INPUT
         g = split_instance(args.n, args.seed, unique=args.unique)
         written.append((f"{prefix}.g", serialize_graph(g)))
     else:  # interval
@@ -400,9 +396,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (GraphParseError, IntervalParseError) as exc:
-        _emit("error", str(exc))
-        return EXIT_INPUT
     except ValueError as exc:
         _emit("error", str(exc))
         return EXIT_INPUT

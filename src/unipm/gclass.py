@@ -51,10 +51,6 @@ class ConstructionTrace:
 
     steps: tuple[Step, ...]
 
-    @property
-    def final_order(self) -> int:
-        return 2 + 2 * (len(self.steps) - 1)
-
 
 def format_trace(trace: ConstructionTrace) -> str:
     """Text form: "INIT u v", "OP1 u x y", "OP2 x y c1 c2 ..." lines."""
@@ -185,15 +181,15 @@ class _RandomAccessSet:
         return v in self.index
 
 
-def _sample_op2_clique(g: Graph, rng: random.Random, max_size: int = 6,
-                       retries: int = 32) -> tuple[int, ...] | None:
-    """Grow a random clique and keep it only if the operation accepts it."""
+def _sample_op2_clique(g: Graph, rng: random.Random) -> tuple[int, ...] | None:
+    """Grow a random clique of at most 6 vertices and keep it only if the
+    operation accepts it; give up after 32 tries."""
     n = g.n_total
-    for _ in range(retries):
+    for _ in range(32):
         w = rng.randrange(n)
         cset = {w}
         pool = [z for z in g.adjacency[w]]
-        target = rng.randint(1, max_size)
+        target = rng.randint(1, 6)
         while len(cset) < target and pool:
             z = pool[rng.randrange(len(pool))]
             zset = set(g.adjacency[z])

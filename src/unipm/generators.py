@@ -12,12 +12,9 @@ from .gclass import ConstructionTrace, InitStep, Op2Step
 from .interval import IntervalRep
 
 
-def cograph_instance(n: int, seed: int, connected: bool = True) -> Graph:
-    """Random cograph from a random cotree with union/join internal nodes.
-
-    With ``connected`` the root is forced to be a join, which makes the
-    result connected.
-    """
+def cograph_instance(n: int, seed: int) -> Graph:
+    """Random connected cograph from a random cotree with union/join
+    internal nodes; the root is a join."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
@@ -36,7 +33,7 @@ def cograph_instance(n: int, seed: int, connected: bool = True) -> Graph:
         build(left, False)
         build(right, False)
 
-    build(leaves, connected and n > 1)
+    build(leaves, True)
     return Graph.from_edges(n, edges)
 
 

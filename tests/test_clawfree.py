@@ -1,13 +1,14 @@
 """The greedy claw-free matcher and the uniqueness decision built on it."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipm import (Graph, Matching, PmincfStats, cli, enumerate_pms,
-                   find_claw, pmincf, random_gclass, verify_pm)
+from unipm import (Graph, Matching, PmincfStats, cli, clique_chain,
+                   enumerate_pms, find_claw, pmincf, random_gclass, verify_pm)
 from unipm.cli import decide
 
 from conftest import (C4_EDGES, C6_EDGES, STAR_EDGES, g_of,
@@ -80,6 +81,35 @@ def test_pmincf_skips_removed_vertices():
     assert decide(g).matching == Matching([(0, 1)])
 
 
+def test_pmincf_pinned_runs():
+    """Exact matchings and counters: paw, K2 and C4 side by side (one
+    reseed per component), a graph with removed vertices, and a clique
+    chain."""
+    multi = g_of(10, [(0, 1), (0, 2), (1, 2), (0, 3), (4, 5),
+                      (6, 7), (7, 8), (8, 9), (9, 6)])
+    holes = g_of(8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                     (6, 7), (7, 0), (1, 5), (2, 6)])
+    holes.remove_vertex(3)
+    holes.remove_vertex(6)
+    chain, _ = clique_chain(5)
+    for g, pairs, counters in [
+            (multi, [(0, 3), (1, 2), (4, 5), (6, 7), (8, 9)], (13, 8, 3, 5, 9)),
+            (holes, [(0, 7), (1, 2), (4, 5)], (13, 12, 1, 3, 6)),
+            (chain, [(2 * i, 2 * i + 1) for i in range(6)], (21, 11, 1, 6, 16))]:
+        stats = PmincfStats()
+        assert pmincf(g, stats=stats, debug_checks=True) == Matching(pairs)
+        assert stats == PmincfStats(*counters)
+
+
+def test_pmincf_isolated_vertex_on_reseed():
+    # 0-1 is committed; the reseed at vertex 2 finds no live neighbor,
+    # and the counters of a failed run are not recorded
+    stats = PmincfStats()
+    with pytest.raises(ValueError, match="disconnected input"):
+        pmincf(g_of(4, [(0, 1)]), stats=stats)
+    assert stats == PmincfStats()
+
+
 def test_pmincf_exhaustive_clawfree_small():
     """Every connected claw-free graph of even order n <= 6: valid perfect
     matching, no extension available at any commit."""
@@ -126,7 +156,7 @@ def test_decide_odd_component_none():
     g = g_of(8, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7)])
     d = decide(g)
     assert not d.unique and d.matching is None
-    assert d.reason == "odd-order component has no perfect matching"
+    assert d.method == "edmonds" and d.reason == "no perfect matching"
 
 
 def test_decide_odd_order_none():
@@ -148,22 +178,38 @@ def _assert_agrees(g, pms, d):
     if d.unique:
         assert d.matching == pms[0], g.live_edges()
     elif pms:
+        assert verify_pm(g, d.matching), g.live_edges()
         second = d.witness.swapped(d.matching)
         assert second != d.matching and verify_pm(g, second), g.live_edges()
     else:
         assert d.matching is None, g.live_edges()
+        assert d.method == "edmonds" and d.reason == "no perfect matching"
 
 
-def test_decide_agreement_with_oracle_exhaustive(small_corpus, n8_sample):
-    """Every connected graph with n <= 6 and the n = 8 sample, clawed
-    graphs included; every method decides some of them."""
-    graphs = [(e.graph, e.pms) for e in small_corpus] + list(n8_sample)
-    for n in (1, 3, 5):
-        for edges in iter_connected_edge_sets(n):
-            g = Graph.from_edges(n, edges)
-            graphs.append((g, tuple(enumerate_pms(g, 2))))
+def _oracle_cases(n8_sample):
+    """(graph, oracle answer) for every labeled graph with n <= 6, the
+    n = 8 sample, and seeded graphs on 7-9 vertices with one vertex
+    lazily removed."""
+    for n in range(7):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = g_of(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            yield g, enumerate_pms(g, 2)
+    yield from n8_sample
+    rng = random.Random(0x79)
+    for _ in range(5000):
+        n = rng.randint(7, 9)
+        g = g_of(n, [p for p in combinations(range(n), 2)
+                     if rng.random() < 0.4])
+        g.remove_vertex(rng.randrange(n))
+        yield g, enumerate_pms(g, 2)
+
+
+def test_decide_agreement_with_oracle_exhaustive(n8_sample):
+    """Disconnected, odd-order, empty and clawed graphs included; every
+    method decides some of them."""
     methods = set()
-    for g, pms in graphs:
+    for g, pms in _oracle_cases(n8_sample):
         d = decide(g)
         _assert_agrees(g, pms, d)
         methods.add(d.method)

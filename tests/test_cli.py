@@ -86,9 +86,9 @@ def test_check_odd_order_components_not_unique(tmp_path, capsys):
     f = write(tmp_path, "tri2.g", "6 6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n")
     code, out = run(capsys, ["check", f])
     assert code == 1
-    assert "method: clawfree" in out
+    assert "method: edmonds" in out
     assert "verdict: not-unique" in out
-    assert "reason: odd-order component has no perfect matching" in out
+    assert "reason: no perfect matching" in out
     assert "witness:" not in out
 
 
@@ -287,6 +287,15 @@ def test_gen_other_families(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "interval.iv").exists()
     assert (tmp_path / "clique-chain.trace").exists()
+
+
+def test_gen_unique_split_odd_n_is_input_error(tmp_path, capsys):
+    out = str(tmp_path / "odd")
+    code, text = run(capsys, ["gen", "--family", "split", "--unique",
+                              "-n", "5", "--out", out])
+    assert code == 2
+    assert text == "error: unique-PM instances need even n\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------- decompose
