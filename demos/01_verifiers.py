@@ -27,7 +27,8 @@ print("swapped matching:", other.pairs, "valid:", verify_pm(c4, other))
 
 # The interesting case: two triangles tied together by one matched edge.
 # Its matching is unique, but the naive alternating-cycle digraph is
-# cyclic, so the verifier has to do real work (the exact fallback).
+# cyclic, so the verifier's DFS is inconclusive and it deletes forced
+# pairs instead: the pendant triangles 2-3 and 4-5, then the edge 0-1.
 print("\n== flower ==")
 flower = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5),
                               (0, 3), (0, 2), (1, 4), (1, 5)])

@@ -32,9 +32,11 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
 
     Claw-freeness and connectivity are promises of the caller; a claw
     is never checked here.  Raises ValueError on odd live order (before
-    starting) and reports "disconnected input" if the promise fails in
-    a detectable way.  Raises RuntimeError if the cursors advance past
-    the live list lengths.  The caller's graph is not mutated.
+    starting) and names the stranded vertex ("the input is disconnected
+    or not claw-free") if a promise fails in a way the matcher detects.
+    Raises RuntimeError if the cursors advance past the live list
+    lengths.  The caller's graph is not mutated.  ``stats`` gets the
+    counters of a run that raises too.
 
     ``debug_checks`` asserts, at every commit, that the path admits
     neither extension and that the lm_nb cache matches a direct
@@ -67,54 +69,21 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
         shell.adjacency = adj
         shell.removed = removed
 
-    while live >= 2:
-        if not path:
-            # reseed; the end-extension finds the seed's first neighbor
-            while lowest < n and removed[lowest]:
-                lowest += 1
-            path = [lowest]
-            pos[lowest] = 0
-            reseeds += 1
+    try:
+        while live >= 2:
+            if not path:
+                # reseed; the end-extension finds the seed's first neighbor
+                while lowest < n and removed[lowest]:
+                    lowest += 1
+                path = [lowest]
+                pos[lowest] = 0
+                reseeds += 1
 
-        while True:
-            uk = path[-1]
-            # end-extension: first cursor-scanned live off-path neighbor
-            nbrs = adj[uk]
-            cu = cursor[uk]
-            end = len(nbrs)
-            v = -1
-            while cu < end:
-                w = nbrs[cu]
-                if removed[w] or pos[w] >= 0:
-                    cu += 1
-                    advances += 1
-                else:
-                    v = w
-                    break
-            cursor[uk] = cu
-            if v >= 0:
-                pos[v] = len(path)
-                path.append(v)
-                continue
-            k = len(path)
-            if k == 1:
-                # a lone path vertex with no live neighbor left
-                raise ValueError("disconnected input")
-            if lm_nb[uk] == -1:
-                # first computation: O(deg) via path positions
-                hits = set()
-                for w in nbrs:
-                    lm_updates += 1
-                    if not removed[w] and pos[w] >= 0:
-                        hits.add(pos[w])
-                run = 0
-                while k - 2 - run >= 0 and (k - 2 - run) in hits:
-                    run += 1
-                lm_nb[uk] = run
-            if lm_nb[uk] >= 2:
-                um = path[-2]
-                nbrs = adj[um]
-                cu = cursor[um]
+            while True:
+                uk = path[-1]
+                # end-extension: first cursor-scanned live off-path neighbor
+                nbrs = adj[uk]
+                cu = cursor[uk]
                 end = len(nbrs)
                 v = -1
                 while cu < end:
@@ -125,42 +94,80 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
                     else:
                         v = w
                         break
-                cursor[um] = cu
+                cursor[uk] = cu
                 if v >= 0:
-                    # swap-extension: ... u_{k-2} u_k u_{k-1} v
-                    lm_nb[uk] -= 1
-                    lm_updates += 1
-                    if lm_nb[um] != -1:
-                        lm_nb[um] += 1
-                        lm_updates += 1
-                    path[-2] = uk
-                    path[-1] = um
-                    pos[uk] = k - 2
-                    pos[um] = k - 1
-                    pos[v] = k
+                    pos[v] = len(path)
                     path.append(v)
                     continue
-            break
+                k = len(path)
+                if k == 1:
+                    # a lone path vertex with no live neighbor left
+                    raise ValueError(
+                        f"vertex {uk} is stranded: the input is "
+                        "disconnected or not claw-free")
+                if lm_nb[uk] == -1:
+                    # first computation: O(deg) via path positions
+                    hits = set()
+                    for w in nbrs:
+                        lm_updates += 1
+                        if not removed[w] and pos[w] >= 0:
+                            hits.add(pos[w])
+                    run = 0
+                    while k - 2 - run >= 0 and (k - 2 - run) in hits:
+                        run += 1
+                    lm_nb[uk] = run
+                if lm_nb[uk] >= 2:
+                    um = path[-2]
+                    nbrs = adj[um]
+                    cu = cursor[um]
+                    end = len(nbrs)
+                    v = -1
+                    while cu < end:
+                        w = nbrs[cu]
+                        if removed[w] or pos[w] >= 0:
+                            cu += 1
+                            advances += 1
+                        else:
+                            v = w
+                            break
+                    cursor[um] = cu
+                    if v >= 0:
+                        # swap-extension: ... u_{k-2} u_k u_{k-1} v
+                        lm_nb[uk] -= 1
+                        lm_updates += 1
+                        if lm_nb[um] != -1:
+                            lm_nb[um] += 1
+                            lm_updates += 1
+                        path[-2] = uk
+                        path[-1] = um
+                        pos[uk] = k - 2
+                        pos[um] = k - 1
+                        pos[v] = k
+                        path.append(v)
+                        continue
+                break
 
-        if debug_checks:
-            _assert_no_extension(adj, removed, pos, lm_nb, path)
-        b = path.pop()
-        a = path.pop()
-        pairs.append((a, b))
-        pos[a] = -1
-        pos[b] = -1
-        removed[a] = 1
-        removed[b] = 1
-        live -= 2
-        if check_connectivity:
-            assert is_connected(shell), "live graph disconnected after commit"
-
-    if stats is not None:
-        stats.cursor_advances += advances
-        stats.lm_nb_updates += lm_updates
-        stats.reseeds += reseeds
-        stats.commits += len(pairs)
-        stats.edge_count += g.edge_count
+            if debug_checks:
+                _assert_no_extension(adj, removed, pos, lm_nb, path)
+            b = path.pop()
+            a = path.pop()
+            pairs.append((a, b))
+            pos[a] = -1
+            pos[b] = -1
+            removed[a] = 1
+            removed[b] = 1
+            live -= 2
+            if check_connectivity:
+                assert is_connected(shell), \
+                    "live graph disconnected after commit"
+    finally:
+        # a run that raises still reports the work it did
+        if stats is not None:
+            stats.cursor_advances += advances
+            stats.lm_nb_updates += lm_updates
+            stats.reseeds += reseeds
+            stats.commits += len(pairs)
+            stats.edge_count += g.edge_count
     if advances > bound:
         raise RuntimeError("cursor advances exceed the live list lengths")
     return Matching(pairs)

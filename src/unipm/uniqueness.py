@@ -294,9 +294,12 @@ def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
     the first back arc whose cycle holds no vertex together with its
     partner expands directly to an alternating cycle.  When every back
     arc closes such a degenerate cycle (odd "flower" structures produce
-    them even for unique matchings), the decision falls back to peeling
-    matched bridges, all of a round's at once; if the peel stalls, an
-    exact augmenting-path search on the remainder finds the witness.
+    them even for unique matchings), an O(n + m) elimination deletes
+    forced pairs (a pendant vertex with its partner, or a matched pair
+    forming a pendant triangle) until none is left; it empties every
+    claw-free graph whose matching is unique.  What it leaves is peeled
+    by matched bridges, all of a round's at once; if the peel stalls,
+    an exact augmenting-path search on the remainder finds the witness.
     Raises RuntimeError if that search finds none, which Kotzig's
     theorem rules out.
     """
@@ -319,23 +322,68 @@ def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
     if not cyclic:
         return None
 
-    # Only degenerate cycles: peel matched bridges, then search what is
-    # left.  A bridge lies on no cycle, so a matched bridge belongs to
-    # every perfect matching and deleting its endpoints keeps the
-    # verdict.  A round deletes every matched bridge at once: deleting
-    # vertices never creates a cycle, so the other bridges of the round
-    # stay on none.  The peel flips its own removal flags over g's
-    # adjacency lists, which is all find_bridges reads.
+    # Only degenerate cycles.  First delete forced pairs, found by a
+    # worklist of the vertices whose live degree drops to 2 or less:
+    # (a) a vertex of degree 1 with its partner, or (b) a matched pair
+    # x-y of degree-2 vertices whose other neighbours are one vertex u
+    # (a pendant triangle).  Every perfect matching holds such a pair
+    # (in (b), x matched to u would strand y), so no alternating cycle
+    # passes through it and deleting it keeps the verdict.  (a) and (b)
+    # undo op2 and op1, so a unique claw-free graph is emptied here:
+    # what is left stays claw-free with a unique perfect matching, so
+    # each of its components is a class member and holds its last
+    # step's x, y.  Each vertex is queued at most twice and each
+    # adjacency list is scanned O(1) times, so this is O(n + m).
+    n = len(adj)
+    dead = list(removed)
+    left = g.live_count
+    if left == n:
+        degree = list(map(len, adj))
+        queue = [v for v, d in enumerate(degree) if d <= 2]
+    else:
+        degree = [0 if removed[v] else sum(not removed[w] for w in adj[v])
+                  for v in range(n)]
+        queue = [v for v in range(n) if degree[v] <= 2 and not removed[v]]
+    while queue:
+        x = queue.pop()
+        if dead[x]:
+            continue
+        y = partner[x]
+        if degree[x] != 1:
+            if degree[x] != 2 or degree[y] != 2:
+                continue
+            for u in adj[x]:
+                if u != y and not dead[u]:
+                    break
+            for w in adj[y]:
+                if w != x and not dead[w]:
+                    break
+            if u != w:
+                continue
+        dead[x] = dead[y] = True
+        left -= 2
+        for z in adj[x] + adj[y]:
+            if not dead[z]:
+                degree[z] -= 1
+                if degree[z] <= 2:
+                    queue.append(z)
+
+    # Then peel matched bridges of what is left, and search what the
+    # peel leaves.  A bridge lies on no cycle, so a matched bridge
+    # belongs to every perfect matching and deleting its endpoints keeps
+    # the verdict.  A round deletes every matched bridge at once:
+    # deleting vertices never creates a cycle, so the other bridges of
+    # the round stay on none.  The peel flips the elimination's flags
+    # over g's adjacency lists, which is all find_bridges reads.
     work = Graph(0)
     work.adjacency = adj
-    work.removed = peeled = list(removed)
-    left = g.live_count
+    work.removed = dead
     while left:
         peel = [(u, v) for u, v in find_bridges(work) if partner[u] == v]
         if not peel:
             break
         for u, v in peel:
-            peeled[u] = peeled[v] = True
+            dead[u] = dead[v] = True
         left -= 2 * len(peel)
     if not left:
         return None
@@ -344,10 +392,10 @@ def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
     # matched bridge, so the stalled remainder has an alternating cycle
     # and the exact search below must find it through some pair.
     for u, v in m.pairs:
-        if peeled[u]:
+        if dead[u]:
             continue
         partner[u] = partner[v] = -1
-        path, _ = _augmenting_path(adj, peeled, partner, u, (u, v))
+        path, _ = _augmenting_path(adj, dead, partner, u, (u, v))
         partner[u], partner[v] = v, u
         if path is not None:
             return AlternatingCycleWitness(_canonical_cycle(path, partner))

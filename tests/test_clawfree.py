@@ -103,11 +103,13 @@ def test_pmincf_pinned_runs():
 
 def test_pmincf_isolated_vertex_on_reseed():
     # 0-1 is committed; the reseed at vertex 2 finds no live neighbor,
-    # and the counters of a failed run are not recorded
+    # and the failed run still records the work it did
     stats = PmincfStats()
-    with pytest.raises(ValueError, match="disconnected input"):
+    with pytest.raises(ValueError, match="vertex 2 is stranded: the input "
+                       "is disconnected or not claw-free"):
         pmincf(g_of(4, [(0, 1)]), stats=stats)
-    assert stats == PmincfStats()
+    assert stats == PmincfStats(cursor_advances=1, lm_nb_updates=1,
+                                reseeds=2, commits=1, edge_count=1)
 
 
 def test_pmincf_exhaustive_clawfree_small():

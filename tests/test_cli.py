@@ -13,8 +13,9 @@ from unipm import (AlternatingCycleWitness, cli, enumerate_pms, find_claw,
                    replay, serialize_graph)
 from unipm.cli import main
 
-from conftest import (C4_EDGES, FLOWER_EDGES, PAW_EDGES, g_of,
-                      mid_chorded_chain, random_connected_edge_set)
+from conftest import (C4_EDGES, FLOWER_EDGES, NEAR_TRIANGLE_EDGES, PAW_EDGES,
+                      TWO_FANS_EDGES, g_of, mid_chorded_chain,
+                      random_connected_edge_set)
 
 
 def write(tmp_path, name, content):
@@ -171,8 +172,12 @@ def test_check_verifier_contradiction_raises(tmp_path, capsys, monkeypatch,
     assert "verdict:" not in out
 
 
-@pytest.mark.parametrize("make", [mid_chorded_chain,
-                                  lambda: random_gclass(60, seed=3)[0]])
+@pytest.mark.parametrize("make", [
+    mid_chorded_chain,                          # the digraph DFS
+    lambda: random_gclass(60, seed=3)[0],       # forced-pair elimination
+    lambda: g_of(10, TWO_FANS_EDGES),           # matched-bridge peel
+    lambda: g_of(8, NEAR_TRIANGLE_EDGES),       # stalls, then the search
+])
 def test_check_same_answer_without_asserts(tmp_path, capsys, make):
     # python -O strips every assert, so no verdict may rest on one
     f = write(tmp_path, "g.g", serialize_graph(make()))
@@ -259,6 +264,17 @@ def test_clawfree_check_claw_rejects(tmp_path, capsys):
     code, out = run(capsys, ["clawfree", star, "--check-claw"])
     assert code == 2
     assert "claw at 0" in out
+
+
+def test_clawfree_stranded_vertex_on_connected_clawed_input(tmp_path, capsys):
+    # connected, with a claw at 1: the greedy matcher strands vertex 0,
+    # and the reason names it without claiming the input is disconnected
+    f = write(tmp_path, "claw6.g", serialize_graph(g_of(
+        6, [(0, 2), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5)])))
+    code, out = run(capsys, ["clawfree", f])
+    assert code == 2
+    assert ("reason: vertex 0 is stranded: the input is disconnected or "
+            "not claw-free\n") in out
 
 
 # --------------------------------------------------------------- gen

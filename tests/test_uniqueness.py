@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipm import (Graph, Matching, enumerate_pms, is_unique_pm, kotzig_peel,
-                   maximum_matching, pmincf, uniqueness, verify_pm)
+from unipm import (Graph, Matching, clique_chain, enumerate_pms, is_unique_pm,
+                   kotzig_peel, maximum_matching, pmincf, random_gclass,
+                   uniqueness, verify_pm)
 from unipm.uniqueness import _canonical_cycle
 
-from conftest import (C4_EDGES, FLOWER_EDGES, K4_EDGES, P4_EDGES, PAW_EDGES,
-                      g_of, iter_connected_edge_sets, mid_chorded_chain,
+from conftest import (C4_EDGES, FLOWER_EDGES, K4_EDGES, NEAR_TRIANGLE_EDGES,
+                      P4_EDGES, PAW_EDGES, TWO_FANS_EDGES, g_of,
+                      iter_connected_edge_sets, mid_chorded_chain,
                       random_connected_edge_set)
 
 
@@ -83,15 +85,6 @@ def test_unique_requires_pm():
         is_unique_pm(g_of(4, P4_EDGES), Matching([(0, 1)]))
 
 
-def test_unique_flower_regression(flower):
-    """Two triangles tied by a matched edge: the naive alternating-cycle
-    digraph is cyclic even though the matching is unique.  Exercises the
-    exact fallback."""
-    (m,) = enumerate_pms(flower, 2)
-    assert is_unique_pm(flower, m) is None
-    assert kotzig_peel(flower, m)
-
-
 def test_unique_flower_with_extra_cycle(flower):
     # adding the edge that closes an alternating cycle flips the verdict
     flower.add_edge(2, 4)
@@ -110,11 +103,84 @@ def _mid_chorded_chain():
     return g, m
 
 
+def _boom(*args):
+    raise AssertionError("reached the peel or the per-pair search")
+
+
 def _no_fallback(monkeypatch):
-    def boom(*args):
-        raise AssertionError("reached the peel or the per-pair search")
-    monkeypatch.setattr(uniqueness, "find_bridges", boom)
-    monkeypatch.setattr(uniqueness, "_augmenting_path", boom)
+    monkeypatch.setattr(uniqueness, "find_bridges", _boom)
+    monkeypatch.setattr(uniqueness, "_augmenting_path", _boom)
+
+
+def _peel_rounds(monkeypatch):
+    """The live vertex count at each find_bridges call of the peel."""
+    bridges = uniqueness.find_bridges
+    live = []
+
+    def counting_bridges(work):
+        live.append(work.n_total - sum(work.removed))
+        return bridges(work)
+
+    monkeypatch.setattr(uniqueness, "find_bridges", counting_bridges)
+    return live
+
+
+def test_unique_flower_regression(flower, monkeypatch):
+    """Two triangles tied by a matched edge: the alternating-cycle digraph
+    is cyclic even though the matching is unique.  Its pendant triangles
+    are forced pairs, so the elimination empties it before the peel."""
+    (m,) = enumerate_pms(flower, 2)
+    assert kotzig_peel(flower, m)
+    _no_fallback(monkeypatch)
+    assert is_unique_pm(flower, m) is None
+
+
+def test_elimination_empties_class_members(monkeypatch):
+    """Every class member is unique and claw-free, so the forced-pair
+    elimination empties it: neither the peel nor the search runs."""
+    rng = random.Random(0xE11)
+    cases = [clique_chain(k)[0] for k in range(40)]
+    for _ in range(300):
+        cases.append(random_gclass(rng.randint(1, 120), op2_bias=rng.random(),
+                                   seed=rng.randrange(10**9))[0])
+    matchings = [pmincf(g) for g in cases]
+    _no_fallback(monkeypatch)
+    for g, m in zip(cases, matchings):
+        assert is_unique_pm(g, m) is None
+
+
+def test_elimination_needs_a_common_neighbour(monkeypatch):
+    """1 and 2 have degree 2 but other neighbours 7 and 6, so 1-2 is not
+    a pendant triangle.  Deleting it anyway would cascade through 3-6
+    and empty the graph, calling it unique."""
+    g = g_of(8, NEAR_TRIANGLE_EDGES)
+    m = Matching([(0, 4), (1, 2), (3, 6), (5, 7)])
+    search = uniqueness._augmenting_path
+    calls = 0
+
+    def counting_search(adj, flagged, *args):
+        nonlocal calls
+        calls += 1
+        assert not any(flagged)
+        return search(adj, flagged, *args)
+
+    monkeypatch.setattr(uniqueness, "_augmenting_path", counting_search)
+    w = is_unique_pm(g, m)
+    assert w is not None and w.cycle == (0, 4, 5, 7, 3, 6, 0)
+    assert calls
+    _assert_witness(g, m, w)
+
+
+def test_unique_peel_empties_two_fans(monkeypatch):
+    """The claw at 0 leaves nothing to eliminate: the matched-bridge peel
+    deletes 0-5, then the two fan paths, and never stalls."""
+    g = g_of(10, TWO_FANS_EDGES)
+    m = Matching([(0, 5), (1, 2), (3, 4), (6, 7), (8, 9)])
+    live = _peel_rounds(monkeypatch)
+    monkeypatch.setattr(uniqueness, "_augmenting_path", _boom)
+    assert is_unique_pm(g, m) is None
+    assert live == [10, 8]
+    assert kotzig_peel(g, m)
 
 
 def test_dfs_finds_mid_chorded_chain_witness(monkeypatch):
@@ -141,9 +207,10 @@ def test_dfs_skips_degenerate_back_arcs(monkeypatch):
 
 
 def test_unique_fallback_stalled_search_raises(monkeypatch):
-    # every back arc of this graph's DFS closes a degenerate cycle and the
-    # peel stalls at once, so the per-pair search must find the witness;
-    # a search that finds nothing is a bug, not "unique"
+    # every back arc of this graph's DFS closes a degenerate cycle, no
+    # pair is forced by degree and the peel stalls at once, so the
+    # per-pair search must find the witness; a search that finds nothing
+    # is a bug, not "unique"
     g = g_of(6, [(4, 5), (0, 5), (0, 4), (0, 3), (2, 3), (1, 3), (1, 2), (1, 5)])
     m = Matching([(0, 4), (1, 5), (2, 3)])
     assert is_unique_pm(g, m).cycle == (0, 4, 5, 1, 2, 3, 0)
@@ -153,24 +220,27 @@ def test_unique_fallback_stalled_search_raises(monkeypatch):
 
 
 def test_unique_fallback_searches_after_peeling(monkeypatch):
-    """The DFS sees only degenerate back arcs, the peel removes the
-    matched bridge 3-7 and then stalls: the per-pair search runs with
-    3 and 7 flagged, and its witness avoids them."""
-    edges = [(0, 2), (2, 4), (0, 3), (2, 3), (0, 4), (2, 5), (0, 1), (4, 6),
-             (1, 8), (3, 7), (3, 9), (3, 6), (3, 4), (4, 5), (3, 8), (1, 9),
-             (5, 6), (5, 8), (8, 9)]
-    g = g_of(10, edges)
-    m = Matching([(0, 2), (1, 9), (3, 7), (4, 6), (5, 8)])
+    """A fan 0 over 1-2-3-4, tied by the matched bridge 0-5 to the graph
+    of the previous test (shifted to 6-11): the elimination removes
+    nothing, the peel deletes 0-5, then 1-2 and 3-4, and stalls; the
+    per-pair search runs with exactly 0-5 flagged and its witness lies
+    in the stalled part."""
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (0, 5),
+             (5, 10), (5, 11), (10, 11), (6, 11), (6, 10), (6, 9), (8, 9),
+             (7, 9), (7, 8), (7, 11)]
+    g = g_of(12, edges)
+    m = Matching([(0, 5), (1, 2), (3, 4), (6, 10), (7, 11), (8, 9)])
     search = uniqueness._augmenting_path
 
     def flagged_search(adj, flagged, *args):
-        assert flagged[3] and flagged[7] and sum(flagged) == 2
+        assert [v for v in range(12) if flagged[v]] == [0, 1, 2, 3, 4, 5]
         return search(adj, flagged, *args)
 
+    live = _peel_rounds(monkeypatch)
     monkeypatch.setattr(uniqueness, "_augmenting_path", flagged_search)
     w = is_unique_pm(g, m)
-    assert w is not None and w.cycle == (0, 2, 4, 6, 5, 8, 9, 1, 0)
-    assert not {3, 7} & set(w.cycle)
+    assert live == [12, 10, 6]
+    assert w is not None and w.cycle == (6, 10, 11, 7, 8, 9, 6)
     _assert_witness(g, m, w)
 
 
@@ -273,8 +343,6 @@ def test_verifiers_agree_beyond_oracle_reach():
     (mostly non-unique, often no longer claw-free -- neither verifier
     cares) and random graphs with a planted perfect matching, some with
     a lazily removed matched pair."""
-    from unipm import random_gclass
-
     rng = random.Random(0xBEEF)
     cases = []
     for _ in range(300):
@@ -302,8 +370,6 @@ def test_verdict_ignores_edge_order():
     edge-list order: the verdict must not depend on it.  Planted graphs
     (some with a removed pair) and chorded class members, each rebuilt
     from three shuffles of its edge list."""
-    from unipm import random_gclass
-
     rng = random.Random(0x5EED)
     cases = [_planted(2 * rng.randint(2, 40), rng) for _ in range(80)]
     for _ in range(80):
