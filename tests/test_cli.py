@@ -177,7 +177,7 @@ def test_check_verifier_contradiction_raises(tmp_path, capsys, monkeypatch,
     lambda: random_gclass(60, seed=3)[0],       # forced-pair elimination
     lambda: g_of(10, TWO_FANS_EDGES),           # matched-bridge peel
     lambda: g_of(8, NEAR_TRIANGLE_EDGES),       # stalls, then the search
-])
+], ids=["mid_chorded_chain", "<lambda>", "two_fans", "near_triangle"])
 def test_check_same_answer_without_asserts(tmp_path, capsys, make):
     # python -O strips every assert, so no verdict may rest on one
     f = write(tmp_path, "g.g", serialize_graph(make()))
