@@ -308,6 +308,10 @@ def bench_rows(family: str, sizes: list[int], repetitions: int,
 
 def _cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
+    if not sizes or min(sizes) < 1:
+        raise ValueError("--sizes needs one or more positive edge counts")
+    if args.repetitions < 1:
+        raise ValueError("--repetitions must be positive")
     # open --out before the run, so an unwritable path fails at once
     out = _output(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with out as fh:

@@ -4,18 +4,19 @@ perfect matching.
 Members grow from a single edge by two operations: attach a fresh
 triangle at a simplicial vertex, or attach a fresh pendant path of
 length two at a clique whose members have clique outside-neighborhoods.
-``decompose`` inverts the construction by peeling endblocks and
-certifies membership; ``replay`` rebuilds a graph from its trace with
-full validation.
+``decompose`` inverts the construction with the forced-pair peel the
+uniqueness verifier also runs (pendant edges and pendant triangles are
+the endblocks the two operations leave), checks each step it records
+and so certifies membership; ``replay`` rebuilds a graph from its trace
+with full validation.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, _non_adjacent_pair, is_connected, is_simplicial
+from .graph import Graph, _forced_pairs, _non_adjacent_pair, is_simplicial
 
 
 class OperationError(ValueError):
@@ -317,78 +318,40 @@ def replay(trace: ConstructionTrace) -> Graph:
 def decompose(g: Graph) -> ConstructionTrace | None:
     """Trace with replay(trace) equal to g, iff g belongs to the class.
 
-    Peels endblocks: a pendant-edge endblock inverts the clique
-    operation (C = the cutvertex's other neighbors), a triangle
-    endblock inverts the simplicial operation.  Fails (None) when the
-    order is odd, the graph is disconnected, no endblock has 2 or 3
-    vertices, a recorded step's precondition does not hold in the
-    remainder, or the base is not a single edge.
+    Peels endblocks with ``_forced_pairs``: a pendant edge inverts the
+    clique operation (C = the cutvertex's other neighbors), a pendant
+    triangle inverts the simplicial operation, and the last pair, a
+    lone edge, is the INIT.  Fails (None) when the peel does not empty
+    the graph (it never empties an odd order) or when a recorded step's
+    precondition does not hold in the remainder.
     """
-    if g.live_count == 0 or g.live_count % 2:
-        return None
-    if not is_connected(g):
-        return None
-    work = g.copy()
-    adjacency, removed = work.adjacency, work.removed
-    # In a connected graph with more than 3 vertices, an endblock with at
-    # most 3 vertices is a degree-1 vertex y with its neighbor x, or two
-    # adjacent degree-2 vertices x, y with their common neighbor u.  So
-    # live degrees find every such endblock without computing blocks: a
-    # vertex is queued whenever its degree drops to 2 or less, and its
-    # shape is read again when it is popped.
     # Sound: each peel checks, in the remainder, the precondition of the
-    # step it records, and the base must be an edge, so replay rebuilds g.
-    # Complete by the lemma any endblock peel rests on: in a class member,
-    # peeling any endblock with 2 or 3 vertices passes its check and
-    # leaves a class member (which has one again: the last step's x, y),
-    # so the order the queue finds them in does not matter.
-    degree = [0 if removed[v] else work.live_degree(v) for v in range(work.n_total)]
-    queue = deque(v for v in range(work.n_total) if not removed[v] and degree[v] <= 2)
-    peeled: list[Step] = []
-    while work.live_count > 2:
-        if not queue:
-            return None
-        v = queue.popleft()
-        if removed[v]:
-            continue
-        nbrs = [w for w in adjacency[v] if not removed[w]]
-        if len(nbrs) == 1:
-            x, y = nbrs[0], v
-            clique = tuple(sorted(w for w in adjacency[x] if not removed[w] and w != y))
-            step: Step = Op2Step(clique, x, y)
-        elif len(nbrs) == 2:
-            a, b = nbrs
-            if degree[a] == 2 and b in adjacency[a]:
-                other, u = a, b
-            elif degree[b] == 2 and a in adjacency[b]:
-                other, u = b, a
-            else:
-                continue
-            x, y = sorted((v, other))
-            step = Op1Step(u, x, y)
-        else:
-            continue
-        work.remove_vertex(x)
-        work.remove_vertex(y)
-        if isinstance(step, Op1Step):
-            if not is_simplicial(work, step.u):
+    # step it records, and the last pair is an edge, so replay rebuilds
+    # g.  A disconnected g fails: its first component to be peeled away
+    # ends in a pendant edge whose clique is empty.  Complete by the
+    # lemma any endblock peel rests on: in a class member, peeling any
+    # endblock with 2 or 3 vertices passes its check and leaves a class
+    # member (which has one again: the last step's x, y), so the order
+    # the peel finds them in does not matter.
+    adjacency = g.adjacency
+    dead = list(g.removed)
+    work = Graph(0)  # g's adjacency lists under the peel's flags
+    work.adjacency, work.removed = adjacency, dead
+    left = g.live_count
+    steps: list[Step] = []
+    for x, y, u in _forced_pairs(adjacency, dead):
+        left -= 2
+        if not left:
+            steps.append(InitStep(min(x, y), max(x, y)))
+            steps.reverse()
+            return ConstructionTrace(tuple(steps))
+        if u != -1:
+            if not is_simplicial(work, u):
                 return None
-        elif _op2_violation(work, step.clique) is not None:
-            return None
-        peeled.append(step)
-        for z in (x, y):
-            for w in adjacency[z]:
-                if not removed[w]:
-                    degree[w] -= 1
-                    if degree[w] <= 2:
-                        queue.append(w)
-        # The remainder stays connected once the peel's checks pass: op1
-        # removes two non-cut vertices of a triangle endblock, and after
-        # op2 removes x and its pendant y every remaining component
-        # touches C, which _op2_violation has just confirmed is a clique.
-    a, b = sorted(work.live_vertices())
-    if not work.has_edge(a, b):
-        return None
-    steps: list[Step] = [InitStep(a, b)]
-    steps.extend(reversed(peeled))
-    return ConstructionTrace(tuple(steps))
+            steps.append(Op1Step(u, x, y))
+        else:
+            clique = tuple(sorted(w for w in adjacency[x] if not dead[w]))
+            if _op2_violation(work, clique) is not None:
+                return None
+            steps.append(Op2Step(clique, x, y))
+    return None

@@ -8,6 +8,7 @@ across removals (the amortization the greedy matcher depends on).
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -379,6 +380,65 @@ def find_bridges(g: Graph) -> set[tuple[int, int]]:
                     if low[u] > disc[parent]:
                         bridges.add((u, parent) if u < parent else (parent, u))
     return bridges
+
+
+def _forced_pairs(adj: list[list[int]],
+                  dead: list[bool]) -> Iterator[tuple[int, int, int]]:
+    """Delete pairs that lie in every perfect matching, one at a time.
+
+    A pair x-y is forced when y is a pendant at x, or when x and y are
+    adjacent vertices of live degree 2 whose other neighbours are one
+    vertex u (a pendant triangle: y matched to u would strand x).  The
+    two shapes undo the clique and the simplicial operation of the
+    paper's class.  Each pair is flagged in ``dead`` and then yielded as
+    (x, y, u), with u == -1 for a pendant and x < y for a triangle; the
+    caller may read the flags before resuming.  A vertex is queued
+    (FIFO) whenever its live degree drops to 2 or less and its shape is
+    read when it is popped, so it is queued at most three times and the
+    whole peel is O(n + m).
+    """
+    if True in dead:
+        degree = [0 if d else sum(not dead[w] for w in nbrs)
+                  for nbrs, d in zip(adj, dead)]
+    else:
+        degree = list(map(len, adj))
+    queue = deque(v for v, d in enumerate(degree) if d <= 2 and not dead[v])
+    pop, push = queue.popleft, queue.append
+    while queue:
+        v = pop()
+        if dead[v]:
+            continue
+        d = degree[v]
+        nbrs = adj[v]
+        if len(nbrs) != d:  # some neighbour is deleted
+            nbrs = [w for w in nbrs if not dead[w]]
+        if d == 1:
+            x, y, u = nbrs[0], v, -1
+        elif d == 2:
+            a, b = nbrs
+            if degree[a] == 2 and b in adj[a]:
+                u = b
+            elif degree[b] == 2 and a in adj[b]:
+                a, u = b, a
+            else:
+                continue
+            x, y = (v, a) if v < a else (a, v)
+        else:
+            continue
+        dead[x] = dead[y] = True
+        yield x, y, u
+        # a pendant y has no live neighbour left; in a triangle, u was
+        # the only other live neighbour of x and of y
+        if u == -1:
+            for w in adj[x]:
+                if not dead[w]:
+                    degree[w] -= 1
+                    if degree[w] <= 2:
+                        push(w)
+        else:
+            degree[u] -= 2
+            if degree[u] <= 2:
+                push(u)
 
 
 def is_cograph_bruteforce(g: Graph) -> bool:

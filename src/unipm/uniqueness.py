@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graph import Graph, Matching, find_bridges
+from .graph import Graph, Matching, _forced_pairs, find_bridges
 
 
 @dataclass(frozen=True)
@@ -287,30 +287,38 @@ def maximum_matching(g: Graph) -> Matching:
 def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
     """None iff m is the unique perfect matching of g; else a witness cycle.
 
-    Fast path: the digraph with arcs x -> partner(y) and y -> partner(x)
-    for every non-matching live edge {x, y}; a second perfect matching
-    gives a directed cycle in it.  One DFS over g's adjacency lists
-    decides most graphs: no back arc means acyclic, hence unique, and
-    the first back arc whose cycle holds no vertex together with its
+    First ``_forced_pairs`` deletes pairs that lie in every perfect
+    matching, in O(n + m).  Its two shapes undo the two operations of
+    the paper's class, so it empties every claw-free graph whose
+    matching is unique.  What it leaves goes to the digraph with arcs
+    x -> partner(y) and y -> partner(x) for every non-matching live edge
+    {x, y}; a second perfect matching gives a directed cycle in it.  One
+    DFS decides most graphs: no back arc means acyclic, hence unique,
+    and the first back arc whose cycle holds no vertex together with its
     partner expands directly to an alternating cycle.  When every back
     arc closes such a degenerate cycle (odd "flower" structures produce
-    them even for unique matchings), an O(n + m) elimination deletes
-    forced pairs (a pendant vertex with its partner, or a matched pair
-    forming a pendant triangle) until none is left; it empties every
-    claw-free graph whose matching is unique.  What it leaves is peeled
-    by matched bridges, all of a round's at once; if the peel stalls,
-    an exact augmenting-path search on the remainder finds the witness.
-    Raises RuntimeError if that search finds none, which Kotzig's
-    theorem rules out.
+    them even for unique matchings), the rest is peeled by matched
+    bridges, all of a round's at once; if the peel stalls, an exact
+    augmenting-path search on the remainder finds the witness.  Raises
+    RuntimeError if that search finds none, which Kotzig's theorem
+    rules out.
     """
     if not verify_pm(g, m):
         raise ValueError("matching is not a perfect matching of the graph")
     adj = g.adjacency
-    removed = g.removed
     partner = [-1] * len(adj)
     for u, v in m.partner.items():
         partner[u] = v
-    cycle, cyclic = _clean_cycle(adj, removed, partner)
+    # No alternating cycle passes through a pair that is in every perfect
+    # matching, so deleting one keeps the verdict.  A unique claw-free
+    # graph is emptied here: each step leaves it claw-free with a unique
+    # perfect matching, so each of its components is a class member and
+    # holds its last step's x, y.
+    dead = list(g.removed)
+    left = g.live_count - 2 * sum(1 for _ in _forced_pairs(adj, dead))
+    if not left:
+        return None
+    cycle, cyclic = _clean_cycle(adj, dead, partner)
     if cycle is not None:
         # expansion x1, partner(x2), x2, ..., xt, partner(x1), x1 is simple
         walk: list[int] = []
@@ -322,58 +330,12 @@ def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
     if not cyclic:
         return None
 
-    # Only degenerate cycles.  First delete forced pairs, found by a
-    # worklist of the vertices whose live degree drops to 2 or less:
-    # (a) a vertex of degree 1 with its partner, or (b) a matched pair
-    # x-y of degree-2 vertices whose other neighbours are one vertex u
-    # (a pendant triangle).  Every perfect matching holds such a pair
-    # (in (b), x matched to u would strand y), so no alternating cycle
-    # passes through it and deleting it keeps the verdict.  (a) and (b)
-    # undo op2 and op1, so a unique claw-free graph is emptied here:
-    # what is left stays claw-free with a unique perfect matching, so
-    # each of its components is a class member and holds its last
-    # step's x, y.  Each vertex is queued at most twice and each
-    # adjacency list is scanned O(1) times, so this is O(n + m).
-    n = len(adj)
-    dead = list(removed)
-    left = g.live_count
-    if left == n:
-        degree = list(map(len, adj))
-        queue = [v for v, d in enumerate(degree) if d <= 2]
-    else:
-        degree = [0 if removed[v] else sum(not removed[w] for w in adj[v])
-                  for v in range(n)]
-        queue = [v for v in range(n) if degree[v] <= 2 and not removed[v]]
-    while queue:
-        x = queue.pop()
-        if dead[x]:
-            continue
-        y = partner[x]
-        if degree[x] != 1:
-            if degree[x] != 2 or degree[y] != 2:
-                continue
-            for u in adj[x]:
-                if u != y and not dead[u]:
-                    break
-            for w in adj[y]:
-                if w != x and not dead[w]:
-                    break
-            if u != w:
-                continue
-        dead[x] = dead[y] = True
-        left -= 2
-        for z in adj[x] + adj[y]:
-            if not dead[z]:
-                degree[z] -= 1
-                if degree[z] <= 2:
-                    queue.append(z)
-
-    # Then peel matched bridges of what is left, and search what the
+    # Only degenerate cycles: peel matched bridges, and search what the
     # peel leaves.  A bridge lies on no cycle, so a matched bridge
     # belongs to every perfect matching and deleting its endpoints keeps
     # the verdict.  A round deletes every matched bridge at once:
     # deleting vertices never creates a cycle, so the other bridges of
-    # the round stay on none.  The peel flips the elimination's flags
+    # the round stay on none.  The peel flips the forced-pair flags
     # over g's adjacency lists, which is all find_bridges reads.
     work = Graph(0)
     work.adjacency = adj
@@ -410,7 +372,8 @@ def kotzig_peel(g: Graph, m: Matching) -> bool:
     matched bridge certifies a second matching exists.  Deletes one
     bridge per round and recomputes bridges each time (O(n*m) worst
     case); the reference the tests compare is_unique_pm against, whose
-    fallback runs the same peel a whole round at a time.
+    fallback runs the same peel a whole round at a time on what its
+    forced-pair peel and DFS leave.
     """
     if not verify_pm(g, m):
         raise ValueError("matching is not a perfect matching of the graph")

@@ -19,18 +19,18 @@ STAR_EDGES = [(0, 1), (0, 2), (0, 3)]                  # K_{1,3}
 C6_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
 # two triangles joined by a matched edge: unique PM, min degree 2, and the
 # naive alternating-cycle digraph is cyclic; its pendant triangles 2-3
-# and 4-5 are forced pairs, so the verifier's elimination empties it
+# and 4-5 are forced pairs, so the verifier's forced-pair peel empties it
 FLOWER_EDGES = [(0, 1), (2, 3), (4, 5), (0, 3), (0, 2), (1, 4), (1, 5)]
 # fan 0 over the path 1-2-3-4, fan 5 over 6-7-8-9, and the bridge 0-5:
 # unique PM {0-5, 1-2, 3-4, 6-7, 8-9}, a claw at 0, no forced pair of
-# degree <= 2 to eliminate, and the matched-bridge peel empties it
+# degree <= 2 to delete, and the matched-bridge peel empties it
 TWO_FANS_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4),
                   (5, 6), (5, 7), (5, 8), (5, 9), (6, 7), (7, 8), (8, 9),
                   (0, 5)]
 # M = {0-4, 1-2, 3-6, 5-7}: 1 and 2 have degree 2 but different other
-# neighbours (7 and 6), so 1-2 is no pendant triangle; the digraph DFS is
-# inconclusive, the elimination and the peel remove nothing, and only the
-# per-pair search finds the alternating cycle
+# neighbours (7 and 6), so 1-2 is no pendant triangle; the forced-pair
+# peel removes nothing, the digraph DFS is inconclusive, the bridge peel
+# removes nothing, and only the per-pair search finds the alternating cycle
 NEAR_TRIANGLE_EDGES = [(0, 4), (0, 5), (0, 6), (1, 2), (1, 7), (2, 6),
                        (3, 6), (3, 7), (4, 5), (5, 7)]
 

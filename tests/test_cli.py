@@ -174,7 +174,7 @@ def test_check_verifier_contradiction_raises(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("make", [
     mid_chorded_chain,                          # the digraph DFS
-    lambda: random_gclass(60, seed=3)[0],       # forced-pair elimination
+    lambda: random_gclass(60, seed=3)[0],       # forced-pair peel
     lambda: g_of(10, TWO_FANS_EDGES),           # matched-bridge peel
     lambda: g_of(8, NEAR_TRIANGLE_EDGES),       # stalls, then the search
 ], ids=["mid_chorded_chain", "<lambda>", "two_fans", "near_triangle"])
@@ -393,6 +393,24 @@ def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, argv, path):
     assert code == 2
     assert out.startswith(f"error: cannot write {path.format(d=d)}: ")
     assert out.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--sizes", ""], "--sizes needs one or more positive edge counts"),
+    (["--sizes", "0"], "--sizes needs one or more positive edge counts"),
+    (["--sizes", "-5"], "--sizes needs one or more positive edge counts"),
+    (["--sizes", "300,-5"], "--sizes needs one or more positive edge counts"),
+    (["--repetitions", "0"], "--repetitions must be positive"),
+])
+def test_bench_rejects_empty_runs(tmp_path, capsys, monkeypatch, args, message):
+    def no_run(*args):
+        raise AssertionError("bench ran on invalid arguments")
+    monkeypatch.setattr(cli, "bench_rows", no_run)
+    out_file = tmp_path / "b.csv"
+    code, out = run(capsys, ["bench", "--out", str(out_file)] + args)
+    assert code == 2
+    assert out == f"error: {message}\n"
+    assert not out_file.exists()
 
 
 # -------------------------------------------------------------- usage

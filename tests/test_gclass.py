@@ -192,6 +192,11 @@ def test_decompose_rejections():
     assert decompose(g_of(4, C4_EDGES)) is None        # 2-connected, order 4
     assert decompose(g_of(3, [(0, 1), (1, 2)])) is None  # odd
     assert decompose(g_of(4, [(0, 1), (2, 3)])) is None  # disconnected
+    # paw and K2 side by side: the peel empties the paw first here, and
+    # the K2 first with the ids shifted; each ends in an empty clique
+    assert decompose(g_of(6, PAW_EDGES + [(4, 5)])) is None
+    shifted = [(u + 2, v + 2) for u, v in PAW_EDGES]
+    assert decompose(g_of(6, [(0, 1)] + shifted)) is None
     assert decompose(Graph(0)) is None
     assert decompose(g_of(2, [(0, 1)])) is not None
 
@@ -247,6 +252,27 @@ def test_decompose_matches_oracle_near_members():
 def test_decompose_does_not_mutate(paw):
     decompose(paw)
     assert paw.live_count == 4 and paw.edge_count == 4
+
+
+def test_removed_universal_vertex_changes_nothing():
+    """A lazily removed vertex adjacent to every other one changes
+    neither the decompose trace nor the is_unique_pm answer, on members
+    and on members with up to three random chords."""
+    rng = random.Random(0xDEAD)
+    for seed in range(60):
+        g, _ = random_gclass(rng.randint(1, 40), op2_bias=rng.random(), seed=seed)
+        m = pmincf(g)
+        n = g.n_total
+        edges = g.live_edges()
+        for _ in range(seed % 4):
+            a, b = sorted(rng.sample(range(n), 2))
+            if (a, b) not in edges:
+                edges.append((a, b))
+        plain = Graph.from_edges(n, edges)
+        h = Graph.from_edges(n + 1, edges + [(v, n) for v in range(n)])
+        h.remove_vertex(n)
+        assert decompose(h) == decompose(plain)
+        assert is_unique_pm(h, m) == is_unique_pm(plain, m)
 
 
 def test_class_membership_equals_clawfree_unique(small_corpus):

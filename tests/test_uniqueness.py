@@ -1,14 +1,16 @@
 """Oracle and the two uniqueness verifiers."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipm import (Graph, Matching, clique_chain, enumerate_pms, is_unique_pm,
-                   kotzig_peel, maximum_matching, pmincf, random_gclass,
-                   uniqueness, verify_pm)
+from unipm import (Graph, Matching, clique_chain, enumerate_pms, find_claw,
+                   is_unique_pm, kotzig_peel, maximum_matching, pmincf,
+                   random_gclass, uniqueness, verify_pm)
+from unipm.graph import _forced_pairs
 from unipm.uniqueness import _canonical_cycle
 
 from conftest import (C4_EDGES, FLOWER_EDGES, K4_EDGES, NEAR_TRIANGLE_EDGES,
@@ -104,7 +106,7 @@ def _mid_chorded_chain():
 
 
 def _boom(*args):
-    raise AssertionError("reached the peel or the per-pair search")
+    raise AssertionError("reached a stage the test rules out")
 
 
 def _no_fallback(monkeypatch):
@@ -128,7 +130,8 @@ def _peel_rounds(monkeypatch):
 def test_unique_flower_regression(flower, monkeypatch):
     """Two triangles tied by a matched edge: the alternating-cycle digraph
     is cyclic even though the matching is unique.  Its pendant triangles
-    are forced pairs, so the elimination empties it before the peel."""
+    are forced pairs, so the forced-pair peel empties it before the
+    bridge peel."""
     (m,) = enumerate_pms(flower, 2)
     assert kotzig_peel(flower, m)
     _no_fallback(monkeypatch)
@@ -137,7 +140,8 @@ def test_unique_flower_regression(flower, monkeypatch):
 
 def test_elimination_empties_class_members(monkeypatch):
     """Every class member is unique and claw-free, so the forced-pair
-    elimination empties it: neither the peel nor the search runs."""
+    peel empties it: neither the DFS, the bridge peel nor the search
+    runs."""
     rng = random.Random(0xE11)
     cases = [clique_chain(k)[0] for k in range(40)]
     for _ in range(300):
@@ -145,8 +149,36 @@ def test_elimination_empties_class_members(monkeypatch):
                                    seed=rng.randrange(10**9))[0])
     matchings = [pmincf(g) for g in cases]
     _no_fallback(monkeypatch)
+    monkeypatch.setattr(uniqueness, "_clean_cycle", _boom)
     for g, m in zip(cases, matchings):
         assert is_unique_pm(g, m) is None
+
+
+def test_forced_pairs_exhaustive():
+    """On every labeled graph with n <= 6, each pair the peel yields has
+    the shape it claims and lies in every perfect matching.  The peel
+    empties a graph only when it has exactly one, and it empties every
+    claw-free graph that has exactly one."""
+    for n in range(7):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [p for i, p in enumerate(pairs)
+                                     if mask >> i & 1])
+            adj = g.adjacency
+            pms = enumerate_pms(g, 16)
+            dead = [False] * n
+            for x, y, u in _forced_pairs(adj, dead):
+                assert dead[x] and dead[y] and y in adj[x]
+                live_x = [w for w in adj[x] if not dead[w]]
+                live_y = [w for w in adj[y] if not dead[w]]
+                if u == -1:
+                    assert live_y == []
+                else:
+                    assert x < y and live_x == live_y == [u]
+                assert all((x, y) in m for m in pms)
+            emptied = False not in dead
+            if emptied or find_claw(g) is None:
+                assert emptied == (len(pms) == 1), (n, g.live_edges())
 
 
 def test_elimination_needs_a_common_neighbour(monkeypatch):
@@ -221,8 +253,8 @@ def test_unique_fallback_stalled_search_raises(monkeypatch):
 
 def test_unique_fallback_searches_after_peeling(monkeypatch):
     """A fan 0 over 1-2-3-4, tied by the matched bridge 0-5 to the graph
-    of the previous test (shifted to 6-11): the elimination removes
-    nothing, the peel deletes 0-5, then 1-2 and 3-4, and stalls; the
+    of the previous test (shifted to 6-11): the forced-pair peel removes
+    nothing, the bridge peel deletes 0-5, then 1-2 and 3-4, and stalls; the
     per-pair search runs with exactly 0-5 flagged and its witness lies
     in the stalled part."""
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (0, 5),
