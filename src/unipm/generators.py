@@ -90,12 +90,24 @@ def clique_chain(k: int) -> tuple[Graph, ConstructionTrace]:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    n = 2 * k + 2
-    edges = [(0, 1)]
+    # the edges are distinct by construction, so the adjacency lists are
+    # filled directly, one append at a time in the order Graph.from_edges
+    # would make them (so each list also gets the same capacity)
+    g = Graph(2 * k + 2)
+    adj = g.adjacency
+    adj[0].append(1)
+    adj[1].append(0)
     steps: list = [InitStep(0, 1)]
     for t in range(1, k + 1):
         x, y = 2 * t, 2 * t + 1
         px, py = 2 * t - 2, 2 * t - 1
-        edges.extend(((x, px), (x, py), (x, y)))
+        ax = adj[x]
+        ax.append(px)
+        adj[px].append(x)
+        ax.append(py)
+        adj[py].append(x)
+        ax.append(y)
+        adj[y].append(x)
         steps.append(Op2Step((px, py), x, y))
-    return Graph.from_edges(n, edges), ConstructionTrace(tuple(steps))
+    g.edge_count = 3 * k + 1
+    return g, ConstructionTrace(tuple(steps))

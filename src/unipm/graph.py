@@ -13,6 +13,12 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 
+# parse_graph allocates a header's n vertices before it reads an edge,
+# so a larger header is refused rather than allowed to exhaust memory.
+# Ten times the largest graph the acceptance sweep builds (n = 853,334).
+MAX_VERTICES = 10_000_000
+
+
 class GraphParseError(ValueError):
     """Input text does not match the edge-list format."""
 
@@ -206,7 +212,9 @@ def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: header "n m", then m lines "u v".
 
     Lines starting with '#' and blank lines are skipped.  Vertices are
-    0-indexed.  Duplicate edge lines collapse to one edge.
+    0-indexed.  Duplicate edge lines collapse to one edge.  A header
+    with more than ``MAX_VERTICES`` vertices is rejected before anything
+    is allocated.
     """
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
@@ -223,6 +231,9 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError(f"malformed header at line {lineno}") from None
     if n < 0 or m < 0:
         raise GraphParseError(f"negative count in header at line {lineno}")
+    if n > MAX_VERTICES:
+        raise GraphParseError(f"{n} vertices in header at line {lineno} "
+                              f"exceed the limit of {MAX_VERTICES}")
 
     g = Graph(n)
     adj = g.adjacency

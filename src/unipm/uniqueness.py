@@ -287,21 +287,25 @@ def maximum_matching(g: Graph) -> Matching:
 def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
     """None iff m is the unique perfect matching of g; else a witness cycle.
 
-    First ``_forced_pairs`` deletes pairs that lie in every perfect
-    matching, in O(n + m).  Its two shapes undo the two operations of
-    the paper's class, so it empties every claw-free graph whose
-    matching is unique.  What it leaves goes to the digraph with arcs
-    x -> partner(y) and y -> partner(x) for every non-matching live edge
-    {x, y}; a second perfect matching gives a directed cycle in it.  One
-    DFS decides most graphs: no back arc means acyclic, hence unique,
-    and the first back arc whose cycle holds no vertex together with its
-    partner expands directly to an alternating cycle.  When every back
-    arc closes such a degenerate cycle (odd "flower" structures produce
-    them even for unique matchings), the rest is peeled by matched
-    bridges, all of a round's at once; if the peel stalls, an exact
-    augmenting-path search on the remainder finds the witness.  Raises
-    RuntimeError if that search finds none, which Kotzig's theorem
-    rules out.
+    One loop deletes pairs that lie in every perfect matching until the
+    graph is empty (unique) or the loop stalls.  Each pass first runs
+    ``_forced_pairs``, in O(n + m).  Its two shapes undo the two
+    operations of the paper's class, so the first pass empties every
+    claw-free graph whose matching is unique.  What it leaves goes to
+    the digraph with arcs x -> partner(y) and y -> partner(x) for every
+    non-matching live edge {x, y}; a second perfect matching gives a
+    directed cycle in it.  One DFS decides most graphs: no back arc
+    means acyclic, hence unique, and the first back arc whose cycle
+    holds no vertex together with its partner expands directly to an
+    alternating cycle.  When every back arc closes such a degenerate
+    cycle (odd "flower" structures produce them even for unique
+    matchings), one ``find_bridges`` round deletes every matched bridge
+    at once and the next pass starts.  The pendant paths and triangles
+    a round strands are the next pass's forced pairs, so a chain of
+    bridges costs one round, not one per bridge.  If a round finds no
+    matched bridge, an exact augmenting-path search on the remainder
+    finds the witness.  Raises RuntimeError if that search finds none,
+    which Kotzig's theorem rules out.
     """
     if not verify_pm(g, m):
         raise ValueError("matching is not a perfect matching of the graph")
@@ -311,44 +315,40 @@ def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
         partner[u] = v
     # No alternating cycle passes through a pair that is in every perfect
     # matching, so deleting one keeps the verdict.  A unique claw-free
-    # graph is emptied here: each step leaves it claw-free with a unique
-    # perfect matching, so each of its components is a class member and
-    # holds its last step's x, y.
+    # graph is emptied by the first peel: each step leaves it claw-free
+    # with a unique perfect matching, so each of its components is a
+    # class member and holds its last step's x, y.  A bridge lies on no
+    # cycle, so a matched bridge is such a pair too, and a round deletes
+    # all of them at once: deleting vertices never creates a cycle, so
+    # the other bridges of the round stay on none.  Both peels flip the
+    # same flags over g's adjacency lists, which is all find_bridges
+    # reads.
     dead = list(g.removed)
-    left = g.live_count - 2 * sum(1 for _ in _forced_pairs(adj, dead))
-    if not left:
-        return None
-    cycle, cyclic = _clean_cycle(adj, dead, partner)
-    if cycle is not None:
-        # expansion x1, partner(x2), x2, ..., xt, partner(x1), x1 is simple
-        walk: list[int] = []
-        t = len(cycle)
-        for i in range(t):
-            walk.append(cycle[i])
-            walk.append(partner[cycle[(i + 1) % t]])
-        return AlternatingCycleWitness(_canonical_cycle(walk, partner))
-    if not cyclic:
-        return None
-
-    # Only degenerate cycles: peel matched bridges, and search what the
-    # peel leaves.  A bridge lies on no cycle, so a matched bridge
-    # belongs to every perfect matching and deleting its endpoints keeps
-    # the verdict.  A round deletes every matched bridge at once:
-    # deleting vertices never creates a cycle, so the other bridges of
-    # the round stay on none.  The peel flips the forced-pair flags
-    # over g's adjacency lists, which is all find_bridges reads.
+    left = g.live_count
     work = Graph(0)
     work.adjacency = adj
     work.removed = dead
-    while left:
+    while True:
+        left -= 2 * sum(1 for _ in _forced_pairs(adj, dead))
+        if not left:
+            return None
+        cycle, cyclic = _clean_cycle(adj, dead, partner)
+        if cycle is not None:
+            # expansion x1, partner(x2), x2, ..., xt, partner(x1), x1 is simple
+            walk: list[int] = []
+            t = len(cycle)
+            for i in range(t):
+                walk.append(cycle[i])
+                walk.append(partner[cycle[(i + 1) % t]])
+            return AlternatingCycleWitness(_canonical_cycle(walk, partner))
+        if not cyclic:
+            return None
         peel = [(u, v) for u, v in find_bridges(work) if partner[u] == v]
         if not peel:
             break
         for u, v in peel:
             dead[u] = dead[v] = True
         left -= 2 * len(peel)
-    if not left:
-        return None
 
     # Kotzig: a connected graph with a unique perfect matching has a
     # matched bridge, so the stalled remainder has an alternating cycle
@@ -371,9 +371,9 @@ def kotzig_peel(g: Graph, m: Matching) -> bool:
     hence belongs to every perfect matching; a nonempty stage with no
     matched bridge certifies a second matching exists.  Deletes one
     bridge per round and recomputes bridges each time (O(n*m) worst
-    case); the reference the tests compare is_unique_pm against, whose
-    fallback runs the same peel a whole round at a time on what its
-    forced-pair peel and DFS leave.
+    case); the reference the tests compare is_unique_pm against, which
+    deletes a whole round of matched bridges at once and runs its
+    forced-pair peel and DFS between rounds.
     """
     if not verify_pm(g, m):
         raise ValueError("matching is not a perfect matching of the graph")

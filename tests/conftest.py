@@ -41,11 +41,42 @@ def g_of(n: int, edges) -> Graph:
 
 def mid_chorded_chain() -> Graph:
     """clique_chain(31) plus the chord 31-33, which closes the alternating
-    cycle 30-31-33-32 mid-chain: the matched-bridge peel stalls only
-    after n/4 rounds."""
+    cycle 30-31-33-32 mid-chain: the verifier's first DFS finds it, while
+    ``kotzig_peel`` runs n/4 bridge rounds before it stalls."""
     g, _ = clique_chain(31)
     g.add_edge(31, 33)
     return g
+
+
+def fan_ladder(k: int, chord: bool = False) -> tuple[Graph, Matching]:
+    """The fan ladder: n = 12k, unique perfect matching, claws.
+
+    Matched pairs a_i-b_i (i < k) with edges b_i-a_{i+1} and
+    a_i-a_{i+1}.  At each b_i hangs, by the unmatched edge b_i-c, a
+    two-fan gadget: fan c over the path p1-p2-p3-p4, fan d over
+    q1-q2-q3-q4, the matched bridge c-d and the pairs p1p2, p3p4, q1q2,
+    q3q4.  Its back arcs are all degenerate and no pair is forced by
+    degree; deleting every matched bridge at once (each c-d and the last
+    rung a_{k-1}-b_{k-1}) strands the rest as forced pairs.  With
+    ``chord`` the edge a_0-b_{k-1} closes an alternating cycle along
+    the ladder, so the matching is no longer unique.  Vertex 12i + j
+    is a_i, b_i, c, p1..p4, d, q1..q4 for j = 0, 1, 2, 3..6, 7, 8..11.
+    """
+    edges, pairs = [], []
+    for i in range(k):
+        a, b, c, d = 12 * i, 12 * i + 1, 12 * i + 2, 12 * i + 7
+        pairs += [(a, b), (c, d)]
+        if i + 1 < k:
+            edges += [(b, a + 12), (a, a + 12)]
+        edges += [(a, b), (b, c), (c, d)]
+        for f in (c, d):
+            path = range(f + 1, f + 5)
+            edges += [(f, p) for p in path]
+            edges += [(p, p + 1) for p in path[:-1]]
+            pairs += [(f + 1, f + 2), (f + 3, f + 4)]
+    if chord:
+        edges.append((0, 12 * k - 11))
+    return Graph.from_edges(12 * k, edges), Matching(pairs)
 
 
 @pytest.fixture

@@ -8,13 +8,15 @@ import sys
 import pytest
 
 import unipm
-from unipm import (AlternatingCycleWitness, cli, enumerate_pms, find_claw,
-                   format_matching, parse_graph, parse_trace, random_gclass,
-                   replay, serialize_graph)
+from unipm import (AlternatingCycleWitness, GraphParseError, cli,
+                   enumerate_pms, find_claw, format_matching, graph,
+                   parse_graph, parse_trace, random_gclass, replay,
+                   serialize_graph)
 from unipm.cli import main
+from unipm.graph import MAX_VERTICES
 
 from conftest import (C4_EDGES, FLOWER_EDGES, NEAR_TRIANGLE_EDGES, PAW_EDGES,
-                      TWO_FANS_EDGES, g_of, mid_chorded_chain,
+                      TWO_FANS_EDGES, fan_ladder, g_of, mid_chorded_chain,
                       random_connected_edge_set)
 
 
@@ -177,7 +179,9 @@ def test_check_verifier_contradiction_raises(tmp_path, capsys, monkeypatch,
     lambda: random_gclass(60, seed=3)[0],       # forced-pair peel
     lambda: g_of(10, TWO_FANS_EDGES),           # matched-bridge peel
     lambda: g_of(8, NEAR_TRIANGLE_EDGES),       # stalls, then the search
-], ids=["mid_chorded_chain", "<lambda>", "two_fans", "near_triangle"])
+    lambda: fan_ladder(20)[0],                  # passes after a bridge round
+], ids=["mid_chorded_chain", "<lambda>", "two_fans", "near_triangle",
+        "fan_ladder"])
 def test_check_same_answer_without_asserts(tmp_path, capsys, make):
     # python -O strips every assert, so no verdict may rest on one
     f = write(tmp_path, "g.g", serialize_graph(make()))
@@ -200,6 +204,26 @@ def test_check_parse_error_exit_2(tmp_path, capsys):
     code, out = run(capsys, ["check", f])
     assert code == 2
     assert "error:" in out and "out of range" in out
+
+
+@pytest.mark.parametrize("header",
+                         ["100000000000 0", f"{MAX_VERTICES + 1} 0\n"])
+def test_check_rejects_huge_header(tmp_path, capsys, monkeypatch, header):
+    # a 14-byte file must not make the parser allocate 10^11 vertices
+    def no_graph(n):
+        raise AssertionError(f"allocated a graph of {n} vertices")
+    monkeypatch.setattr(graph, "Graph", no_graph)
+    code, out = run(capsys, ["check", write(tmp_path, "huge.g", header)])
+    assert code == 2
+    assert out == (f"error: {header.split()[0]} vertices in header at line 1 "
+                   f"exceed the limit of {MAX_VERTICES}\n")
+
+
+def test_parse_accepts_header_at_limit(monkeypatch):
+    monkeypatch.setattr(graph, "MAX_VERTICES", 4)
+    assert parse_graph("4 0\n").n_total == 4
+    with pytest.raises(GraphParseError, match="exceed the limit of 4"):
+        parse_graph("5 0\n")
 
 
 # ------------------------------------------------------------------ force

@@ -1,11 +1,13 @@
 """Family generators: validity and seed determinism."""
 
+import sys
+
 import pytest
 
-from unipm import (IntervalRep, clique_chain, cograph_instance, decompose,
-                   enumerate_pms, find_claw, interval_instance, is_connected,
-                   is_cograph_bruteforce, is_split_bruteforce, pmincf, replay,
-                   split_balance, split_instance, verify_pm)
+from unipm import (Graph, IntervalRep, clique_chain, cograph_instance,
+                   decompose, enumerate_pms, find_claw, interval_instance,
+                   is_connected, is_cograph_bruteforce, is_split_bruteforce,
+                   pmincf, replay, split_balance, split_instance, verify_pm)
 
 
 def test_cograph_instances_are_cographs():
@@ -58,6 +60,26 @@ def test_clique_chain_shape_and_membership():
         assert verify_pm(g, m)
     g, _ = clique_chain(4)
     assert len(enumerate_pms(g, 2)) == 1
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 1000])
+def test_clique_chain_equals_edge_list_build(k):
+    # the direct build must give the lists Graph.from_edges gives, in the
+    # same order (pmincf's cursors walk them in that order) and with the
+    # same capacity (criterion 5 times pmincf over them)
+    edges = [(0, 1)]
+    for t in range(1, k + 1):
+        x, y = 2 * t, 2 * t + 1
+        edges += [(x, x - 2), (x, x - 1), (x, y)]
+    want = Graph.from_edges(2 * k + 2, edges)
+    g, trace = clique_chain(k)
+    assert g.adjacency == want.adjacency
+    assert list(map(sys.getsizeof, g.adjacency)) == \
+        list(map(sys.getsizeof, want.adjacency))
+    assert g.removed == want.removed
+    assert (g.live_count, g.edge_count) == (want.live_count, want.edge_count)
+    g.check_symmetry()
+    assert len(trace.steps) == k + 1
 
 
 def test_clique_chain_matching_is_the_fresh_pairs():

@@ -14,7 +14,7 @@ from unipm.graph import _forced_pairs
 from unipm.uniqueness import _canonical_cycle
 
 from conftest import (C4_EDGES, FLOWER_EDGES, K4_EDGES, NEAR_TRIANGLE_EDGES,
-                      P4_EDGES, PAW_EDGES, TWO_FANS_EDGES, g_of,
+                      P4_EDGES, PAW_EDGES, TWO_FANS_EDGES, fan_ladder, g_of,
                       iter_connected_edge_sets, mid_chorded_chain,
                       random_connected_edge_set)
 
@@ -204,15 +204,40 @@ def test_elimination_needs_a_common_neighbour(monkeypatch):
 
 
 def test_unique_peel_empties_two_fans(monkeypatch):
-    """The claw at 0 leaves nothing to eliminate: the matched-bridge peel
-    deletes 0-5, then the two fan paths, and never stalls."""
+    """The claw at 0 leaves nothing to eliminate: one bridge round
+    deletes 0-5, and the forced-pair peel of the next pass deletes the
+    two fan paths it strands."""
     g = g_of(10, TWO_FANS_EDGES)
     m = Matching([(0, 5), (1, 2), (3, 4), (6, 7), (8, 9)])
     live = _peel_rounds(monkeypatch)
     monkeypatch.setattr(uniqueness, "_augmenting_path", _boom)
     assert is_unique_pm(g, m) is None
-    assert live == [10, 8]
+    assert live == [10]
     assert kotzig_peel(g, m)
+
+
+@pytest.mark.parametrize("k", [125, 250, 500, 1000, 2000])
+def test_fan_ladder_needs_one_bridge_round(monkeypatch, k):
+    """One round deletes every c-d bridge and the last rung; the rest
+    of the ladder is forced pairs for the next pass, not k rounds."""
+    g, m = fan_ladder(k)
+    live = _peel_rounds(monkeypatch)
+    monkeypatch.setattr(uniqueness, "_augmenting_path", _boom)
+    assert is_unique_pm(g, m) is None
+    assert live == [12 * k]
+
+
+@pytest.mark.parametrize("k", [125, 2000])
+def test_chorded_fan_ladder_witness(monkeypatch, k):
+    """The chord a_0-b_{k-1} closes an alternating cycle along the
+    ladder; the second pass's DFS finds it, with no per-pair search."""
+    g, m = fan_ladder(k, chord=True)
+    live = _peel_rounds(monkeypatch)
+    monkeypatch.setattr(uniqueness, "_augmenting_path", _boom)
+    w = is_unique_pm(g, m)
+    assert live == [12 * k]
+    assert w is not None
+    _assert_witness(g, m, w)
 
 
 def test_dfs_finds_mid_chorded_chain_witness(monkeypatch):
@@ -224,17 +249,17 @@ def test_dfs_finds_mid_chorded_chain_witness(monkeypatch):
 
 
 def test_dfs_skips_degenerate_back_arcs(monkeypatch):
-    """The DFS from 0 runs 0 -> 3 -> 1 -> 7.  Its first back arc 7 -> 0
-    closes a cycle through the pair 0-1; then 7 -> 4 -> 6 pushes the
-    pair 6-7 and 6 -> 0 closes a second degenerate cycle.  After 4 and
-    6 are popped, 7 -> 5 -> 1 closes the clean cycle 1, 7, 5: the lower
-    position of the popped pair 6-7 must no longer count against it."""
-    g = g_of(8, [(1, 6), (6, 7), (3, 7), (0, 5), (2, 7), (0, 3), (3, 5),
-                 (2, 4), (0, 1), (4, 7), (1, 7)])
-    m = Matching([(0, 1), (2, 4), (3, 5), (6, 7)])
+    """The DFS from 0 pushes the states 3, 6, 7, 2 and 1.  Its first
+    back arc 1 -> 0 closes a degenerate cycle: it holds the pairs 0-6
+    and 7-1.  After 1 and 2 are popped, 7 -> 3 closes the clean cycle
+    3, 6, 7: the pair 7-1 left the stack with 1, so its lower position
+    must no longer count against the arc."""
+    g = g_of(8, [(3, 5), (4, 7), (0, 5), (4, 5), (2, 4), (1, 7), (0, 6),
+                 (0, 4), (1, 6), (0, 3), (5, 7), (3, 7), (2, 7), (0, 7)])
+    m = Matching([(0, 6), (1, 7), (2, 4), (3, 5)])
     _no_fallback(monkeypatch)
     w = is_unique_pm(g, m)
-    assert w is not None and w.cycle == (0, 1, 6, 7, 3, 5, 0)
+    assert w is not None and w.cycle == (0, 6, 1, 7, 5, 3, 0)
     _assert_witness(g, m, w)
 
 
@@ -254,9 +279,10 @@ def test_unique_fallback_stalled_search_raises(monkeypatch):
 def test_unique_fallback_searches_after_peeling(monkeypatch):
     """A fan 0 over 1-2-3-4, tied by the matched bridge 0-5 to the graph
     of the previous test (shifted to 6-11): the forced-pair peel removes
-    nothing, the bridge peel deletes 0-5, then 1-2 and 3-4, and stalls; the
-    per-pair search runs with exactly 0-5 flagged and its witness lies
-    in the stalled part."""
+    nothing, a bridge round deletes 0-5, the next pass's forced-pair
+    peel deletes 1-2 and 3-4, and the next round finds no matched
+    bridge; the per-pair search runs with exactly 0-5 flagged and its
+    witness lies in the stalled part."""
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (0, 5),
              (5, 10), (5, 11), (10, 11), (6, 11), (6, 10), (6, 9), (8, 9),
              (7, 9), (7, 8), (7, 11)]
@@ -271,7 +297,7 @@ def test_unique_fallback_searches_after_peeling(monkeypatch):
     live = _peel_rounds(monkeypatch)
     monkeypatch.setattr(uniqueness, "_augmenting_path", flagged_search)
     w = is_unique_pm(g, m)
-    assert live == [12, 10, 6]
+    assert live == [12, 6]
     assert w is not None and w.cycle == (6, 10, 11, 7, 8, 9, 6)
     _assert_witness(g, m, w)
 
@@ -373,8 +399,8 @@ def test_verifiers_agree_beyond_oracle_reach():
     the oracle: class members (all unique, rich in the odd structures
     that force the exact fallback), members with 1-3 random chords
     (mostly non-unique, often no longer claw-free -- neither verifier
-    cares) and random graphs with a planted perfect matching, some with
-    a lazily removed matched pair."""
+    cares), random graphs with a planted perfect matching, some with
+    a lazily removed matched pair, and fan ladders, plain and chorded."""
     rng = random.Random(0xBEEF)
     cases = []
     for _ in range(300):
@@ -387,6 +413,8 @@ def test_verifiers_agree_beyond_oracle_reach():
         cases.append((h, m))
     for _ in range(1000):
         cases.append(_planted(2 * rng.randint(2, 60), rng))
+    cases += [fan_ladder(k, chord) for k in range(1, 31)
+              for chord in (False, True)]
     witnesses = 0
     for g, m in cases:
         w = is_unique_pm(g, m)
