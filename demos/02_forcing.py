@@ -3,6 +3,7 @@
 
 from unipm import (Graph, enumerate_pms, find_forcing_set, is_cograph_bruteforce,
                    is_split_bruteforce, split_balance)
+from unipm.cli import decide
 
 # P4 is bipartite, a path, and elimination walks right through it.
 p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -40,3 +41,8 @@ print("\nflower oracle count:", len(enumerate_pms(flower, 2)))
 print("flower min degree:",
       min(flower.live_degree(u) for u in flower.live_vertices()))
 print("flower forcing:", find_forcing_set(flower))
+
+# decide (behind `unipm check`) peels pendant triangles too, which
+# settles the flower: 2-3 and 4-5 hang off 0 and 1, and 0-1 is left.
+print("flower decided by:", decide(flower).method,
+      "| forcing set found:", find_forcing_set(flower) is not None)

@@ -18,10 +18,11 @@ print("paw is claw-free:", find_claw(paw) is None)
 m = pmincf(paw, debug_checks=True)
 print("paw matching:", m.pairs)
 
-# decide runs forcing first, then this matcher (on any graph: a claw
-# can make it fail, and then Edmonds' search takes over), and hands
-# each matching to the uniqueness verifier.  The paw's pendant vertex lets
-# forcing settle it before the matcher runs.
+# decide runs the forced-pair peel first, then this matcher (on any
+# graph: a claw can make it fail, and then Edmonds' search takes over),
+# and hands each matching the matcher or Edmonds finds to the uniqueness
+# verifier.  The paw's pendant vertex lets the peel settle it before the
+# matcher runs.
 d = decide(paw)
 print("paw:", d.method, d.matching.pairs)
 c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])

@@ -1,12 +1,12 @@
 """Command-line front end: unique-perfect-matching tools.
 
 ``decide`` is the one uniqueness decision behind ``unipm check`` and
-the library: forcing, then the greedy claw-free matcher on any graph,
-then Edmonds' maximum matching when the greedy matcher fails or the
-verifier rejects its output.  Edmonds' search answers every graph with
-no perfect matching; the uniqueness verifier settles every matching.
-The layers are called through this module's names, so a tracer that
-wraps them sees every layer of a decision.
+the library: the forced-pair peel, then the greedy claw-free matcher on
+any graph, then Edmonds' maximum matching when the greedy matcher fails
+or the verifier rejects its output.  Edmonds' search answers every
+graph with no perfect matching; the uniqueness verifier settles every
+matching the two find.  The layers are called through this module's
+names, so a tracer that wraps them sees every layer of a decision.
 
 Exit codes: 0 success / unique, 1 no unique perfect matching, 2 input
 error (an unreadable input or an unwritable output path), 4 internal
@@ -26,8 +26,8 @@ from .forcing import find_forcing_set
 from .gclass import decompose, format_trace, parse_trace, random_gclass, replay
 from .generators import (clique_chain, cograph_instance, interval_instance,
                          split_instance)
-from .graph import (Graph, GraphParseError, Matching, find_claw,
-                    format_matching, parse_graph, serialize_graph)
+from .graph import (Graph, GraphParseError, Matching, _forced_pairs,
+                    find_claw, format_matching, parse_graph, serialize_graph)
 from .interval import (IntervalPMError, intersection_graph, interval_pm,
                        parse_intervals)
 from .uniqueness import (AlternatingCycleWitness, enumerate_pms, is_unique_pm,
@@ -80,10 +80,11 @@ class Decision:
     """Whether a graph has a unique perfect matching, and the proof.
 
     ``method`` names what found the matching, or showed there is none:
-    ``forcing``, ``clawfree`` (the greedy matcher), ``edmonds`` or
-    ``interval``.  ``matching`` is a perfect matching, or None when
-    ``reason`` says why there is none; ``witness`` is an alternating
-    cycle through it when it is not the only one.
+    ``forcing`` (the forced-pair peel emptied the graph), ``clawfree``
+    (the greedy matcher), ``edmonds`` or ``interval``.  ``matching`` is
+    a perfect matching, or None when ``reason`` says why there is none;
+    ``witness`` is an alternating cycle through it when it is not the
+    only one.
     """
 
     method: str
@@ -105,20 +106,18 @@ def _decision(g: Graph, method: str, matching: Matching) -> Decision:
 def decide(g: Graph) -> Decision:
     """Decide whether g has a unique perfect matching; any graph will do.
 
-    Forcing settles the graph when its degree-1 elimination empties it.
+    The forced-pair peel settles g when it empties it: each pair it
+    deletes lies in every perfect matching.  It empties every graph
+    degree-1 forcing empties and every member of the paper's class.
     Otherwise the greedy claw-free matcher runs without a claw check (a
     ValueError or an invalid result only means it does not apply), and
     Edmonds' maximum matching takes over when it fails; a maximum
     matching that is not perfect means g has no perfect matching (odd
-    order, an odd-order component, or any other obstruction).  Raises
-    RuntimeError if forcing's certificate and the verifier disagree.
+    order, an odd-order component, or any other obstruction).
     """
-    cert = find_forcing_set(g)
-    if cert is not None:
-        d = _decision(g, "forcing", cert.matching)
-        if d.witness is not None:
-            raise RuntimeError("forcing certificate contradicts verifier")
-        return d
+    pairs = [(x, y) for x, y, _ in _forced_pairs(g.adjacency, list(g.removed))]
+    if 2 * len(pairs) == g.live_count:
+        return Decision("forcing", Matching(pairs))
     try:
         # is_unique_pm raises ValueError on a matching that is not perfect
         return _decision(g, "clawfree", pmincf(g))

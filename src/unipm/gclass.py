@@ -16,7 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, _forced_pairs, _non_adjacent_pair, is_simplicial
+from .graph import (MAX_VERTICES, Graph, _forced_pairs, _non_adjacent_pair,
+                    is_simplicial)
 
 
 class OperationError(ValueError):
@@ -141,11 +142,25 @@ def apply_op2(g: Graph, clique: tuple[int, ...]) -> tuple[int, int]:
     reason = _op2_violation(g, tuple(clique))
     if reason is not None:
         raise OperationError(reason)
+    return _attach_pendant_path(g, clique)
+
+
+def _attach_pendant_path(g: Graph,
+                         clique: tuple[int, ...]) -> tuple[int, int]:
+    """The second operation without its precondition check: fresh x, y
+    with the edges x-y and x-c for each c in clique, appended as
+    add_edge would append them (x and y are fresh, so none is a
+    duplicate or touches a removed vertex)."""
     x = g.add_vertex()
     y = g.add_vertex()
-    g.add_edge(x, y)
+    adj = g.adjacency
+    ax = adj[x]
+    ax.append(y)
+    adj[y].append(x)
     for c in clique:
-        g.add_edge(x, c)
+        ax.append(c)
+        adj[c].append(x)
+    g.edge_count += 1 + len(clique)
     return x, y
 
 
@@ -227,7 +242,9 @@ def random_gclass(steps: int, op2_bias: float = 0.5,
             clique = _sample_op2_clique(g, rng)
             if clique is None:
                 clique = (last_y,)
-            x, y = apply_op2(g, clique)
+                x, y = apply_op2(g, clique)
+            else:  # _sample_op2_clique has checked it on this g
+                x, y = _attach_pendant_path(g, clique)
             # only clique members can change simplicial status
             for c in clique:
                 if is_simplicial(g, c):
@@ -255,7 +272,8 @@ def replay(trace: ConstructionTrace) -> Graph:
     Vertex ids are taken from the trace verbatim (decomposition traces
     preserve the original labeling), so the result equals the source
     graph exactly.  Any violated precondition raises an OperationError
-    naming the step index.
+    naming the step index; a vertex id at or above ``MAX_VERTICES``
+    raises one before anything is allocated.
     """
     steps = trace.steps
     if not steps or not isinstance(steps[0], InitStep):
@@ -273,6 +291,9 @@ def replay(trace: ConstructionTrace) -> Graph:
     if min(mentioned) < 0:
         raise OperationError("negative vertex id in trace")
     n = max(mentioned) + 1
+    if n > MAX_VERTICES:
+        raise OperationError(f"trace needs {n} vertices, more than the "
+                             f"limit of {MAX_VERTICES}")
     mentioned_set = set(mentioned)
     g = Graph(n)
     for v in range(n):

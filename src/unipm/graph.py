@@ -14,7 +14,8 @@ from typing import Iterable, Iterator, Sequence
 
 
 # parse_graph allocates a header's n vertices before it reads an edge,
-# so a larger header is refused rather than allowed to exhaust memory.
+# and replay a trace's before it checks a step, so a larger count is
+# refused rather than allowed to exhaust memory.
 # Ten times the largest graph the acceptance sweep builds (n = 853,334).
 MAX_VERTICES = 10_000_000
 

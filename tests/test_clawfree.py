@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unipm import (Graph, Matching, PmincfStats, cli, clique_chain,
-                   enumerate_pms, find_claw, pmincf, random_gclass, verify_pm)
+                   enumerate_pms, find_claw, find_forcing_set, pmincf,
+                   random_gclass, verify_pm)
 from unipm.cli import decide
 
 from conftest import (C4_EDGES, C6_EDGES, STAR_EDGES, g_of,
@@ -173,6 +174,25 @@ def test_decide_discards_an_invalid_greedy_matching(monkeypatch):
     assert d.method == "edmonds" and d.witness is not None
 
 
+def test_decide_class_members_by_the_peel_alone(monkeypatch):
+    # the forced-pair peel is decide's first stage and empties every
+    # class member, so no later stage runs; the matching is the trace's
+    def later_stage(*args):
+        raise AssertionError("a stage after the peel ran on a class member")
+    for name in ("pmincf", "maximum_matching", "is_unique_pm"):
+        monkeypatch.setattr(cli, name, later_stage)
+    rng = random.Random(0x14)
+    members = [random_gclass(rng.randint(0, 255), op2_bias=rng.random(),
+                             seed=seed) for seed in range(40)]
+    members += [clique_chain(k) for k in (0, 1, 7, 500)]
+    for g, trace in members:
+        init, *ops = trace.steps
+        d = decide(g)
+        assert d.method == "forcing" and d.unique
+        assert d.matching == Matching([(init.u, init.v)] +
+                                      [(s.x, s.y) for s in ops])
+
+
 def _assert_agrees(g, pms, d):
     """d is the oracle's answer: its one matching, a witness of a second
     one, or no matching at all."""
@@ -214,6 +234,9 @@ def test_decide_agreement_with_oracle_exhaustive(n8_sample):
     for g, pms in _oracle_cases(n8_sample):
         d = decide(g)
         _assert_agrees(g, pms, d)
+        # the peel empties every graph degree-1 forcing empties
+        if find_forcing_set(g) is not None:
+            assert d.method == "forcing", g.live_edges()
         methods.add(d.method)
     assert methods == {"forcing", "clawfree", "edmonds"}
 

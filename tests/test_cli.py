@@ -8,10 +8,9 @@ import sys
 import pytest
 
 import unipm
-from unipm import (AlternatingCycleWitness, GraphParseError, cli,
-                   enumerate_pms, find_claw, format_matching, graph,
-                   parse_graph, parse_trace, random_gclass, replay,
-                   serialize_graph)
+from unipm import (GraphParseError, cli, enumerate_pms, find_claw,
+                   format_matching, gclass, graph, parse_graph, parse_trace,
+                   random_gclass, replay, serialize_graph)
 from unipm.cli import main
 from unipm.graph import MAX_VERTICES
 
@@ -58,12 +57,20 @@ def test_check_c4_not_unique(c4_file, capsys):
     assert "witness:" in out
 
 
-def test_check_flower_uses_clawfree_path(tmp_path, capsys):
-    f = write(tmp_path, "flower.g", serialize_graph(g_of(6, FLOWER_EDGES)))
+@pytest.mark.parametrize("n, edges, method, matching", [
+    # minimum degree 2, so degree-1 forcing cannot start; the peel
+    # deletes the pendant triangles 2-3 and 4-5, then the edge 0-1
+    (6, FLOWER_EDGES, "forcing", "0 1\n2 3\n4 5\n"),
+    # a claw at 0 and nothing forced: the greedy matcher's answer
+    (10, TWO_FANS_EDGES, "clawfree", "0 5\n1 2\n3 4\n6 7\n8 9\n"),
+], ids=["flower", "two_fans"])
+def test_check_unique_method(tmp_path, capsys, n, edges, method, matching):
+    f = write(tmp_path, "g.g", serialize_graph(g_of(n, edges)))
     code, out = run(capsys, ["check", f])
     assert code == 0
-    assert "method: clawfree" in out
+    assert f"method: {method}\n" in out
     assert "verdict: unique" in out
+    assert out.endswith(matching)
 
 
 def test_check_clawed_graph_small_uses_oracle(tmp_path, capsys):
@@ -107,12 +114,14 @@ def test_check_oracle_not_unique_witness(tmp_path, capsys):
 
 
 def test_check_oracle_unique(tmp_path, capsys):
-    # clawed at 0 (leaves 1, 4, 5) and no forcing set; one perfect matching
+    # clawed at 0 (leaves 1, 4, 5) and no forcing set; one perfect
+    # matching, which the peel finds: the pendant triangle 2-3 leaves 4
+    # pendant at 0, deleting 0-4 leaves 1 pendant at 6, and 5-7 is last
     edges = "0 1\n0 4\n0 5\n0 6\n1 6\n2 3\n2 4\n3 4\n5 6\n5 7\n6 7\n"
     f = write(tmp_path, "uni.g", "8 11\n" + edges)
     code, out = run(capsys, ["check", f])
     assert code == 0
-    assert "method: clawfree" in out
+    assert "method: forcing" in out
     assert "verdict: unique" in out
     assert out.endswith("0 4\n1 6\n2 3\n5 7\n")
 
@@ -159,18 +168,16 @@ def test_check_decides_clawed_graphs_beyond_forcing(tmp_path, capsys):
     assert seen == {"clawfree", "edmonds"}
 
 
-@pytest.mark.parametrize("name, content, fake, message", [
-    ("paw.g", "4 4\n0 1\n0 2\n1 2\n0 3\n", AlternatingCycleWitness((0, 1, 2, 3, 0)),
-     "forcing certificate contradicts verifier"),
-])
-def test_check_verifier_contradiction_raises(tmp_path, capsys, monkeypatch,
-                                             name, content, fake, message):
-    # a verifier that disagrees with forcing's own proof is a bug, not a
-    # verdict: one error line and the internal-error code, no traceback
-    monkeypatch.setattr(cli, "is_unique_pm", lambda g, m: fake)
-    code, out = run(capsys, ["check", write(tmp_path, name, content)])
+def test_check_internal_error_exit_4(c4_file, capsys, monkeypatch):
+    # a failed self-check of the verifier is a bug, not a verdict: one
+    # error line and the internal-error code, no traceback
+    def stalled(g, m):
+        raise RuntimeError("verifier self-check failed")
+    monkeypatch.setattr(cli, "is_unique_pm", stalled)
+    code, out = run(capsys, ["check", c4_file])
     assert code == cli.EXIT_INTERNAL == 4
-    assert f"error: {message}\n" in out
+    assert out.count("error:") == 1
+    assert out.endswith("error: verifier self-check failed\n")
     assert "verdict:" not in out
 
 
@@ -351,6 +358,29 @@ def test_decompose_c4(c4_file, capsys):
     code, out = run(capsys, ["decompose", c4_file])
     assert code == 1
     assert "NOT IN CLASS" in out
+
+
+@pytest.mark.parametrize("trace, n", [
+    ("INIT 0 100000000000\n", 100000000001),
+    (f"INIT 0 1\nOP1 0 2 {MAX_VERTICES}\n", MAX_VERTICES + 1),
+], ids=["init", "op1"])
+def test_replay_rejects_huge_vertex_id(tmp_path, capsys, monkeypatch, trace,
+                                       n):
+    # a 20-byte trace must not make replay allocate 10^11 vertices
+    def no_graph(n):
+        raise AssertionError(f"allocated a graph of {n} vertices")
+    monkeypatch.setattr(gclass, "Graph", no_graph)
+    code, out = run(capsys, ["replay", write(tmp_path, "huge.trace", trace)])
+    assert code == 2
+    assert out == (f"error: trace needs {n} vertices, more than the limit "
+                   f"of {MAX_VERTICES}\n")
+
+
+def test_replay_accepts_ids_below_limit(monkeypatch):
+    monkeypatch.setattr(gclass, "MAX_VERTICES", 4)
+    assert replay(parse_trace("INIT 0 3\n")).n_total == 4
+    with pytest.raises(gclass.OperationError, match="more than the limit of 4"):
+        replay(parse_trace("INIT 0 4\n"))
 
 
 def test_replay_roundtrip(paw_file, tmp_path, capsys):
