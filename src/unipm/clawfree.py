@@ -64,10 +64,7 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
     reseeds = 0
     lowest = 0  # monotone pointer to the lowest-id live vertex
     if check_connectivity:
-        # a view of the live graph that follows the commits' removals
-        shell = Graph(0)
-        shell.adjacency = adj
-        shell.removed = removed
+        shell = g.view()  # follows the commits' removals
 
     try:
         while live >= 2:
@@ -158,6 +155,8 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
             removed[b] = 1
             live -= 2
             if check_connectivity:
+                shell.remove_vertex(a)
+                shell.remove_vertex(b)
                 assert is_connected(shell), \
                     "live graph disconnected after commit"
     finally:

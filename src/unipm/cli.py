@@ -1,12 +1,13 @@
 """Command-line front end: unique-perfect-matching tools.
 
 ``decide`` is the one uniqueness decision behind ``unipm check`` and
-the library: the forced-pair peel, then the greedy claw-free matcher on
-any graph, then Edmonds' maximum matching when the greedy matcher fails
-or the verifier rejects its output.  Edmonds' search answers every
-graph with no perfect matching; the uniqueness verifier settles every
-matching the two find.  The layers are called through this module's
-names, so a tracer that wraps them sees every layer of a decision.
+the library: one forced-pair peel on a view of the graph, then, on what
+it leaves, the greedy claw-free matcher, and Edmonds' maximum matching
+when the greedy matcher fails or the verifier rejects its output.
+Edmonds' search answers every graph with no perfect matching; the
+uniqueness verifier settles every matching the two find.  The layers
+are called through this module's names, so a tracer that wraps them
+sees every layer of a decision.
 
 Exit codes: 0 success / unique, 1 no unique perfect matching, 2 input
 error (an unreadable input or an unwritable output path), 4 internal
@@ -97,36 +98,33 @@ class Decision:
         return self.matching is not None and self.witness is None
 
 
-def _decision(g: Graph, method: str, matching: Matching) -> Decision:
-    """The decision on a perfect matching of g: unique unless the
-    verifier finds a witness."""
-    return Decision(method, matching, is_unique_pm(g, matching))
-
-
 def decide(g: Graph) -> Decision:
     """Decide whether g has a unique perfect matching; any graph will do.
 
-    The forced-pair peel settles g when it empties it: each pair it
-    deletes lies in every perfect matching.  It empties every graph
-    degree-1 forcing empties and every member of the paper's class.
-    Otherwise the greedy claw-free matcher runs without a claw check (a
-    ValueError or an invalid result only means it does not apply), and
-    Edmonds' maximum matching takes over when it fails; a maximum
-    matching that is not perfect means g has no perfect matching (odd
-    order, an odd-order component, or any other obstruction).
+    One forced-pair peel runs on a view of g; each pair it deletes lies
+    in every perfect matching, so it settles g when it empties it (as it
+    does every graph degree-1 forcing empties and every class member).
+    Later stages see only what it leaves, ``rest``: the greedy claw-free
+    matcher runs without a claw check (a ValueError or an invalid result
+    only means it does not apply), and Edmonds' maximum matching takes
+    over when it fails; one that is not perfect means g has none.  The
+    peeled pairs plus rest's matching are g's matching, and a witness
+    cycle the verifier finds in rest alternates with it in g.
     """
-    pairs = [(x, y) for x, y, _ in _forced_pairs(g.adjacency, list(g.removed))]
-    if 2 * len(pairs) == g.live_count:
+    rest = g.view()
+    pairs = [(x, y) for x, y, _ in _forced_pairs(rest)]
+    if not rest.live_count:
         return Decision("forcing", Matching(pairs))
     try:
         # is_unique_pm raises ValueError on a matching that is not perfect
-        return _decision(g, "clawfree", pmincf(g))
+        method, m = "clawfree", pmincf(rest)
+        witness = is_unique_pm(rest, m)
     except ValueError:
-        pass
-    m = maximum_matching(g)
-    if 2 * len(m) < g.live_count:
-        return Decision("edmonds", reason="no perfect matching")
-    return _decision(g, "edmonds", m)
+        method, m = "edmonds", maximum_matching(rest)
+        if 2 * len(m) < rest.live_count:
+            return Decision(method, reason="no perfect matching")
+        witness = is_unique_pm(rest, m)
+    return Decision(method, Matching(pairs + m.pairs), witness)
 
 
 def _verdict(d: Decision, start: float) -> int:
@@ -169,7 +167,8 @@ def _cmd_interval(args) -> int:
     _header("interval", args.file, g)
     start = time.perf_counter()
     try:
-        d = _decision(g, "interval", interval_pm(rep))
+        m = interval_pm(rep)
+        d = Decision("interval", m, is_unique_pm(g, m))
     except IntervalPMError as exc:
         d = Decision("interval", reason=str(exc))
     return _verdict(d, start)
@@ -195,9 +194,8 @@ def _cmd_clawfree(args) -> int:
         return EXIT_INPUT
     _emit("elapsed_s", f"{time.perf_counter() - start:.6f}")
     if stats is not None:
-        _emit("cursor_advances", stats.cursor_advances)
-        _emit("lm_nb_updates", stats.lm_nb_updates)
-        _emit("reseeds", stats.reseeds)
+        for key, value in vars(stats).items():
+            _emit(key, value)
     sys.stdout.write(format_matching(m))
     return EXIT_OK
 
@@ -250,6 +248,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.cap < 1:
+        raise ValueError("--cap must be positive")
     g = _load_graph(args.file)
     _header("oracle", args.file, g)
     pms = enumerate_pms(g, args.cap)
@@ -306,7 +306,10 @@ def bench_rows(family: str, sizes: list[int], repetitions: int,
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        sizes = []
     if not sizes or min(sizes) < 1:
         raise ValueError("--sizes needs one or more positive edge counts")
     if args.repetitions < 1:

@@ -354,15 +354,10 @@ def decompose(g: Graph) -> ConstructionTrace | None:
     # endblock with 2 or 3 vertices passes its check and leaves a class
     # member (which has one again: the last step's x, y), so the order
     # the peel finds them in does not matter.
-    adjacency = g.adjacency
-    dead = list(g.removed)
-    work = Graph(0)  # g's adjacency lists under the peel's flags
-    work.adjacency, work.removed = adjacency, dead
-    left = g.live_count
+    work = g.view()
     steps: list[Step] = []
-    for x, y, u in _forced_pairs(adjacency, dead):
-        left -= 2
-        if not left:
+    for x, y, u in _forced_pairs(work):
+        if not work.live_count:
             steps.append(InitStep(min(x, y), max(x, y)))
             steps.reverse()
             return ConstructionTrace(tuple(steps))
@@ -371,7 +366,7 @@ def decompose(g: Graph) -> ConstructionTrace | None:
                 return None
             steps.append(Op1Step(u, x, y))
         else:
-            clique = tuple(sorted(w for w in adjacency[x] if not dead[w]))
+            clique = tuple(sorted(work.live_neighbors(x)))
             if _op2_violation(work, clique) is not None:
                 return None
             steps.append(Op2Step(clique, x, y))

@@ -63,12 +63,19 @@ class Graph:
         g.edge_count = len(seen)
         return g
 
-    def copy(self) -> "Graph":
+    def view(self) -> "Graph":
+        """A graph over the same adjacency lists with its own removal
+        flags and counts: removing a vertex from it never reaches self."""
         g = Graph(0)
-        g.adjacency = [list(a) for a in self.adjacency]
+        g.adjacency = self.adjacency
         g.removed = list(self.removed)
         g.live_count = self.live_count
         g.edge_count = self.edge_count
+        return g
+
+    def copy(self) -> "Graph":
+        g = self.view()
+        g.adjacency = [list(a) for a in self.adjacency]
         return g
 
     def add_vertex(self) -> int:
@@ -394,21 +401,22 @@ def find_bridges(g: Graph) -> set[tuple[int, int]]:
     return bridges
 
 
-def _forced_pairs(adj: list[list[int]],
-                  dead: list[bool]) -> Iterator[tuple[int, int, int]]:
-    """Delete pairs that lie in every perfect matching, one at a time.
+def _forced_pairs(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """Delete pairs of g that lie in every perfect matching, one at a time.
 
     A pair x-y is forced when y is a pendant at x, or when x and y are
     adjacent vertices of live degree 2 whose other neighbours are one
     vertex u (a pendant triangle: y matched to u would strand x).  The
     two shapes undo the clique and the simplicial operation of the
-    paper's class.  Each pair is flagged in ``dead`` and then yielded as
-    (x, y, u), with u == -1 for a pendant and x < y for a triangle; the
-    caller may read the flags before resuming.  A vertex is queued
+    paper's class.  Each pair is removed from g (run it on a ``view`` to
+    keep g), with exact ``live_count`` and ``edge_count``, and then
+    yielded as (x, y, u), with u == -1 for a pendant and x < y for a
+    triangle; the caller may read g before resuming.  A vertex is queued
     (FIFO) whenever its live degree drops to 2 or less and its shape is
     read when it is popped, so it is queued at most three times and the
     whole peel is O(n + m).
     """
+    adj, dead = g.adjacency, g.removed
     if True in dead:
         degree = [0 if d else sum(not dead[w] for w in nbrs)
                   for nbrs, d in zip(adj, dead)]
@@ -438,19 +446,23 @@ def _forced_pairs(adj: list[list[int]],
         else:
             continue
         dead[x] = dead[y] = True
-        yield x, y, u
-        # a pendant y has no live neighbour left; in a triangle, u was
-        # the only other live neighbour of x and of y
+        # a pendant y has no live neighbour left, so the pair takes x's
+        # live edges; in a triangle, u was the only other live neighbour
+        # of x and of y
         if u == -1:
+            g.edge_count -= degree[x]
             for w in adj[x]:
                 if not dead[w]:
                     degree[w] -= 1
                     if degree[w] <= 2:
                         push(w)
         else:
+            g.edge_count -= 3
             degree[u] -= 2
             if degree[u] <= 2:
                 push(u)
+        g.live_count -= 2
+        yield x, y, u
 
 
 def is_cograph_bruteforce(g: Graph) -> bool:

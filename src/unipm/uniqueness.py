@@ -83,17 +83,9 @@ def enumerate_pms(g: Graph, cap: int) -> list[Matching]:
 
 def verify_pm(g: Graph, m: Matching) -> bool:
     """True iff m's pairs are live edges, disjoint, and cover every live vertex."""
-    adj = g.adjacency
-    removed = g.removed
-    n = len(adj)
+    n = g.n_total
     for u, v in m.pairs:
-        if not (0 <= u < n and 0 <= v < n) or removed[u] or removed[v]:
-            return False
-        # scan the shorter list, as Graph.has_edge does
-        a, b = adj[u], adj[v]
-        if len(b) < len(a):
-            a, v = b, u
-        if v not in a:
+        if not (0 <= u < n and 0 <= v < n and g.has_edge(u, v)):
             return False
     return 2 * len(m.pairs) == g.live_count
 
@@ -320,17 +312,13 @@ def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
     # class member and holds its last step's x, y.  A bridge lies on no
     # cycle, so a matched bridge is such a pair too, and a round deletes
     # all of them at once: deleting vertices never creates a cycle, so
-    # the other bridges of the round stay on none.  Both peels flip the
-    # same flags over g's adjacency lists, which is all find_bridges
-    # reads.
-    dead = list(g.removed)
-    left = g.live_count
-    work = Graph(0)
-    work.adjacency = adj
-    work.removed = dead
+    # the other bridges of the round stay on none.  Both peels delete
+    # from one view of g, which is what find_bridges reads.
+    work = g.view()
+    dead = work.removed
     while True:
-        left -= 2 * sum(1 for _ in _forced_pairs(adj, dead))
-        if not left:
+        deque(_forced_pairs(work), maxlen=0)  # run the peel to its end
+        if not work.live_count:
             return None
         cycle, cyclic = _clean_cycle(adj, dead, partner)
         if cycle is not None:
@@ -347,8 +335,8 @@ def is_unique_pm(g: Graph, m: Matching) -> AlternatingCycleWitness | None:
         if not peel:
             break
         for u, v in peel:
-            dead[u] = dead[v] = True
-        left -= 2 * len(peel)
+            work.remove_vertex(u)
+            work.remove_vertex(v)
 
     # Kotzig: a connected graph with a unique perfect matching has a
     # matched bridge, so the stalled remainder has an alternating cycle

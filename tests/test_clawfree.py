@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from unipm import (Graph, Matching, PmincfStats, cli, clique_chain,
                    enumerate_pms, find_claw, find_forcing_set, pmincf,
-                   random_gclass, verify_pm)
+                   random_gclass, uniqueness, verify_pm)
 from unipm.cli import decide
+from unipm.graph import _forced_pairs
 
-from conftest import (C4_EDGES, C6_EDGES, STAR_EDGES, g_of,
-                      iter_connected_edge_sets, random_connected_edge_set)
+from conftest import (C4_EDGES, C6_EDGES, STAR_EDGES, fan_ladder, g_of,
+                      iter_connected_edge_sets, mid_chorded_chain,
+                      random_connected_edge_set)
 
 
 def test_pmincf_k2():
@@ -191,6 +193,51 @@ def test_decide_class_members_by_the_peel_alone(monkeypatch):
         assert d.method == "forcing" and d.unique
         assert d.matching == Matching([(init.u, init.v)] +
                                       [(s.x, s.y) for s in ops])
+
+
+def _chorded_member():
+    """A random_gclass member plus the chord 33-37: the peel stops with
+    20 of its 122 vertices left, and the matching is no longer unique."""
+    g, _ = random_gclass(60, op2_bias=0.5, seed=13)
+    g.add_edge(33, 37)
+    return g
+
+
+@pytest.mark.parametrize("make, unique", [
+    (mid_chorded_chain, False), (_chorded_member, False),
+    (lambda: fan_ladder(3)[0], True),
+], ids=["mid_chorded_chain", "chorded_member", "fan_ladder"])
+def test_decide_peels_once(monkeypatch, make, unique):
+    """The matcher gets what decide's peel leaves, and the verifier's
+    first pass over it finds no forced pair left to delete."""
+    g = make()
+    rest = g.view()
+    peeled = list(_forced_pairs(rest))
+    assert rest.live_count > 0
+    matched = []
+
+    def matcher(h):
+        matched.append((h.live_count, h.removed.count(False)))
+        return pmincf(h)
+
+    passes = []
+
+    def recording(h):
+        passes.append([])
+        for pair in _forced_pairs(h):
+            passes[-1].append(pair)
+            yield pair
+
+    monkeypatch.setattr(cli, "pmincf", matcher)
+    monkeypatch.setattr(uniqueness, "_forced_pairs", recording)
+    d = decide(g)
+    assert matched == [(rest.live_count, rest.live_count)]
+    assert passes and passes[0] == []
+    assert d.unique == unique and verify_pm(g, d.matching)
+    assert all((x, y) in d.matching for x, y, _ in peeled)
+    if not unique:
+        second = d.witness.swapped(d.matching)
+        assert second != d.matching and verify_pm(g, second)
 
 
 def _assert_agrees(g, pms, d):

@@ -284,10 +284,12 @@ def test_interval_bad_rep(tmp_path, capsys):
 # ---------------------------------------------------------------- clawfree
 
 def test_clawfree_stats(paw_file, capsys):
+    # every PmincfStats counter, in field order, after elapsed_s
     code, out = run(capsys, ["clawfree", paw_file, "--stats"])
     assert code == 0
-    assert "cursor_advances:" in out
-    assert "0 3\n1 2\n" in out
+    assert out.split("elapsed_s: ")[1].split("\n", 1)[1] == (
+        "cursor_advances: 7\nlm_nb_updates: 3\nreseeds: 1\ncommits: 2\n"
+        "edge_count: 4\n0 3\n1 2\n")
 
 
 def test_clawfree_check_claw_rejects(tmp_path, capsys):
@@ -408,6 +410,16 @@ def test_oracle_c4_cap(c4_file, capsys):
     assert "cap_reached: true" in out
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_oracle_rejects_cap_before_reading(paw_file, capsys, monkeypatch, cap):
+    def no_read(path):
+        raise AssertionError("oracle read its file before checking --cap")
+    monkeypatch.setattr(cli, "_read_file", no_read)
+    code, out = run(capsys, ["oracle", paw_file, "--cap", cap])
+    assert code == 2
+    assert out == "error: --cap must be positive\n"
+
+
 # -------------------------------------------------------------- bench
 
 def test_bench_csv_schema_and_bound(tmp_path, capsys):
@@ -455,6 +467,8 @@ def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, argv, path):
     (["--sizes", "-5"], "--sizes needs one or more positive edge counts"),
     (["--sizes", "300,-5"], "--sizes needs one or more positive edge counts"),
     (["--repetitions", "0"], "--repetitions must be positive"),
+    (["--sizes", "x"], "--sizes needs one or more positive edge counts"),
+    (["--sizes", "300,4k"], "--sizes needs one or more positive edge counts"),
 ])
 def test_bench_rejects_empty_runs(tmp_path, capsys, monkeypatch, args, message):
     def no_run(*args):

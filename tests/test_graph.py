@@ -141,6 +141,24 @@ def test_copy_is_independent(paw):
     c = paw.copy()
     c.remove_vertex(3)
     assert paw.live_count == 4 and c.live_count == 3
+    # the copy owns its lists: an edge added to it never reaches paw
+    assert all(a is not b for a, b in zip(c.adjacency, paw.adjacency))
+    c.add_edge(1, c.add_vertex())
+    assert paw.adjacency == [[1, 2, 3], [0, 2], [0, 1], [0]]
+    assert paw.n_total == 4 and paw.edge_count == 4
+    paw.check_symmetry()
+
+
+def test_view_shares_lists_not_removals(paw):
+    v = paw.view()
+    assert v.adjacency is paw.adjacency and v.removed is not paw.removed
+    v.remove_vertex(0)
+    assert v.live_count == 3 and v.edge_count == 1
+    v.check_symmetry()
+    assert paw.removed == [False] * 4
+    assert paw.live_count == 4 and paw.edge_count == 4
+    assert list(paw.live_neighbors(1)) == [0, 2]
+    paw.check_symmetry()
 
 
 # ---------------------------------------------------------------- claws

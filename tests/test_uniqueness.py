@@ -158,7 +158,8 @@ def test_forced_pairs_exhaustive():
     """On every labeled graph with n <= 6, each pair the peel yields has
     the shape it claims and lies in every perfect matching.  The peel
     empties a graph only when it has exactly one, and it empties every
-    claw-free graph that has exactly one."""
+    claw-free graph that has exactly one.  The peel runs on a view: its
+    counts stay exact, and g keeps its flags and counts."""
     for n in range(7):
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
@@ -166,8 +167,10 @@ def test_forced_pairs_exhaustive():
                                      if mask >> i & 1])
             adj = g.adjacency
             pms = enumerate_pms(g, 16)
-            dead = [False] * n
-            for x, y, u in _forced_pairs(adj, dead):
+            work = g.view()
+            dead = work.removed
+            for x, y, u in _forced_pairs(work):
+                work.check_symmetry()
                 assert dead[x] and dead[y] and y in adj[x]
                 live_x = [w for w in adj[x] if not dead[w]]
                 live_y = [w for w in adj[y] if not dead[w]]
@@ -176,6 +179,9 @@ def test_forced_pairs_exhaustive():
                 else:
                     assert x < y and live_x == live_y == [u]
                 assert all((x, y) in m for m in pms)
+            work.check_symmetry()
+            assert g.removed == [False] * n and g.live_count == n
+            assert g.edge_count == bin(mask).count("1")
             emptied = False not in dead
             if emptied or find_claw(g) is None:
                 assert emptied == (len(pms) == 1), (n, g.live_edges())
