@@ -104,6 +104,12 @@ def _op2_violation(g: Graph, clique: tuple[int, ...]) -> str | None:
     pair = _non_adjacent_pair(g, clique)
     if pair is not None:
         return f"vertices {pair[0]} and {pair[1]} in C are not adjacent"
+    return _outside_violation(g, clique, cset)
+
+
+def _outside_violation(g: Graph, clique: tuple[int, ...],
+                       cset: set[int]) -> str | None:
+    """Why a member of the clique cset has non-adjacent outside neighbors."""
     removed = g.removed
     for u in clique:
         pair = _non_adjacent_pair(
@@ -198,24 +204,22 @@ class _RandomAccessSet:
 
 
 def _sample_op2_clique(g: Graph, rng: random.Random) -> tuple[int, ...] | None:
-    """Grow a random clique of at most 6 vertices and keep it only if the
-    operation accepts it; give up after 32 tries."""
+    """Grow a random clique of at most 6 vertices from a pool of common
+    neighbors, so only the members' outside neighborhoods need checking
+    (g has no removed vertex); give up after 32 tries."""
     n = g.n_total
     for _ in range(32):
         w = rng.randrange(n)
         cset = {w}
-        pool = [z for z in g.adjacency[w]]
+        pool = list(g.adjacency[w])
         target = rng.randint(1, 6)
         while len(cset) < target and pool:
             z = pool[rng.randrange(len(pool))]
             zset = set(g.adjacency[z])
-            if cset <= zset:
-                cset.add(z)
-                pool = [p for p in pool if p != z and p in zset]
-            else:
-                pool.remove(z)
+            cset.add(z)
+            pool = [p for p in pool if p != z and p in zset]
         cand = tuple(sorted(cset))
-        if _op2_violation(g, cand) is None:
+        if _outside_violation(g, cand, cset) is None:
             return cand
     return None
 
@@ -224,14 +228,17 @@ def random_gclass(steps: int, op2_bias: float = 0.5,
                   seed: int = 0) -> tuple[Graph, ConstructionTrace]:
     """Random class member with its certified trace; deterministic per seed.
 
-    The first operation picks a uniformly random simplicial vertex from
-    an incrementally maintained set (one always exists: the most recent
-    y is simplicial).  The second samples candidate cliques with bounded
-    retries, falling back to the singleton {most recent y}, which always
-    satisfies both preconditions.
+    Each step is the second operation with probability ``op2_bias``,
+    which must lie in [0, 1].  The first operation picks a uniformly
+    random simplicial vertex from an incrementally maintained set (one
+    always exists: the most recent y is simplicial).  The second
+    samples candidate cliques with bounded retries, falling back to the
+    singleton {most recent y}, which always satisfies both preconditions.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not 0 <= op2_bias <= 1:  # also rejects NaN
+        raise ValueError(f"op2_bias must lie in [0, 1], got {op2_bias}")
     rng = random.Random(seed)
     g = Graph.from_edges(2, [(0, 1)])
     trace: list[Step] = [InitStep(0, 1)]
@@ -239,17 +246,12 @@ def random_gclass(steps: int, op2_bias: float = 0.5,
     last_y = 1
     for _ in range(steps):
         if rng.random() < op2_bias:
-            clique = _sample_op2_clique(g, rng)
-            if clique is None:
-                clique = (last_y,)
-                x, y = apply_op2(g, clique)
-            else:  # _sample_op2_clique has checked it on this g
-                x, y = _attach_pendant_path(g, clique)
-            # only clique members can change simplicial status
+            clique = _sample_op2_clique(g, rng) or (last_y,)
+            x, y = _attach_pendant_path(g, clique)
+            # c gains x, which sees only C and y, so c stays simplicial
+            # iff N(c) is (C - c) + x, of size |C|; none becomes simplicial
             for c in clique:
-                if is_simplicial(g, c):
-                    simplicial.add(c)
-                else:
+                if len(g.adjacency[c]) > len(clique):
                     simplicial.discard(c)
             simplicial.add(y)
             trace.append(Op2Step(clique, x, y))
@@ -286,7 +288,9 @@ def replay(trace: ConstructionTrace) -> Graph:
             mentioned += [step.u, step.v]
         else:
             mentioned += [step.x, step.y]
-    if len(set(mentioned)) != len(mentioned):
+    mentioned_set = set(mentioned)
+    # hence INIT's u != v, and each step's x and y are not yet present
+    if len(mentioned_set) != len(mentioned):
         raise OperationError("trace introduces a vertex twice")
     if min(mentioned) < 0:
         raise OperationError("negative vertex id in trace")
@@ -294,18 +298,13 @@ def replay(trace: ConstructionTrace) -> Graph:
     if n > MAX_VERTICES:
         raise OperationError(f"trace needs {n} vertices, more than the "
                              f"limit of {MAX_VERTICES}")
-    mentioned_set = set(mentioned)
     g = Graph(n)
     for v in range(n):
         if v not in mentioned_set:
             g.remove_vertex(v)  # id gaps stay permanently removed
-    present: set[int] = set()
-
     init = steps[0]
-    if init.u == init.v:
-        raise OperationError("step 0: INIT needs two distinct vertices")
     g.add_edge(init.u, init.v)
-    present.update((init.u, init.v))
+    present = {init.u, init.v}
 
     for i, step in enumerate(steps[1:], start=1):
         if isinstance(step, Op1Step):
@@ -315,9 +314,6 @@ def replay(trace: ConstructionTrace) -> Graph:
         for a in anchors:
             if a not in present:
                 raise OperationError(f"step {i}: vertex {a} not yet present")
-        for fresh in (step.x, step.y):
-            if fresh in present:
-                raise OperationError(f"step {i}: vertex {fresh} already present")
         if isinstance(step, Op1Step):
             if not is_simplicial(g, step.u):
                 raise OperationError(f"step {i}: vertex {step.u} is not simplicial")

@@ -41,9 +41,11 @@ def split_instance(n: int, seed: int, unique: bool = False) -> Graph:
     """Random split graph: clique C plus independent set S with random
     S-to-C edges.
 
-    With ``unique`` the sizes satisfy |C| - |S| in {0, 2} and every
-    independent vertex gets at least one edge: the balance is a
-    necessary condition for a unique perfect matching, not a guarantee.
+    With ``unique`` (n even) the graph has a unique perfect matching:
+    C is c_1..c_k plus 0 or 2 more vertices, and s_i in S sees c_i and
+    a random subset of c_1..c_{i-1}.  So s_1 is pendant, and the
+    forced-pair peel matches each s_i to c_i in turn, then pairs the
+    two extra clique vertices.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -51,15 +53,18 @@ def split_instance(n: int, seed: int, unique: bool = False) -> Graph:
         raise ValueError("unique-PM instances need even n")
     rng = random.Random(seed)
     if unique:
-        c_size = rng.choice([n // 2, n // 2 + 1]) if n >= 2 else 1
+        c_size = rng.choice([n // 2, n // 2 + 1])
     else:
         c_size = rng.randint(1, n)
     clique = list(range(c_size))
     indep = list(range(c_size, n))
     edges = [(a, b) for i, a in enumerate(clique) for b in clique[i + 1:]]
-    for s in indep:
-        k = rng.randint(1 if unique else 0, c_size)
-        edges.extend((s, c) for c in rng.sample(clique, k))
+    for i, s in enumerate(indep):
+        if unique:
+            edges.append((s, clique[i]))
+            edges.extend((s, c) for c in rng.sample(clique[:i], rng.randint(0, i)))
+        else:
+            edges.extend((s, c) for c in rng.sample(clique, rng.randint(0, c_size)))
     return Graph.from_edges(n, edges)
 
 

@@ -141,26 +141,24 @@ def interval_pm(rep: IntervalRep) -> Matching:
     exactly that matching; otherwise it either raises IntervalPMError
     or returns some matching the caller must verify.
 
-    Two lazy-deletion heaps keyed by r; since the thresholds r_{u*}
-    increase monotonically, one l-sorted scan feeds the active heap.
-    O(n log n).
+    u* is the next unmatched vertex in r order; since the thresholds
+    r_{u*} increase, one l-sorted scan feeds the lazy-deletion heap
+    (keyed by r) that yields v*.  O(n log n): two sorts and one heap.
     """
     n = rep.n
     if n % 2:
         raise IntervalPMError("odd order")
     intervals = rep.intervals
     by_l = sorted(range(n), key=lambda v: intervals[v][0])
-    global_heap = [(intervals[v][1], v) for v in range(n)]
-    heapq.heapify(global_heap)
     active: list[tuple[int, int]] = []
     matched = [False] * n
     li = 0
     pairs = []
-    while global_heap:
-        r_u, u = heapq.heappop(global_heap)
+    for u in sorted(range(n), key=lambda v: intervals[v][1]):
         if matched[u]:
             continue
         matched[u] = True
+        r_u = intervals[u][1]
         while li < n and intervals[by_l[li]][0] < r_u:
             w = by_l[li]
             heapq.heappush(active, (intervals[w][1], w))

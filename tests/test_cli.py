@@ -338,6 +338,15 @@ def test_gen_other_families(tmp_path, capsys):
     assert (tmp_path / "clique-chain.trace").exists()
 
 
+def test_gen_gclass_bias_outside_unit_interval_is_input_error(tmp_path, capsys):
+    out = str(tmp_path / "g")
+    code, text = run(capsys, ["gen", "--family", "gclass", "--op2-bias", "7",
+                              "--steps", "3", "--out", out])
+    assert code == 2
+    assert text == "error: op2_bias must lie in [0, 1], got 7.0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_unique_split_odd_n_is_input_error(tmp_path, capsys):
     out = str(tmp_path / "odd")
     code, text = run(capsys, ["gen", "--family", "split", "--unique",

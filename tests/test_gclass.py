@@ -127,6 +127,17 @@ def test_replay_names_failing_step():
         replay(ConstructionTrace((InitStep(0, 1), Op1Step(0, 1, 2))))
 
 
+@pytest.mark.parametrize("steps", [
+    (InitStep(3, 3),),
+    (InitStep(0, 1), Op1Step(0, 2, 3), Op2Step((2,), 4, 1)),
+])
+def test_replay_rejects_reused_ids_before_any_step(steps):
+    # the one up-front check covers INIT's own pair and every fresh x, y
+    with pytest.raises(OperationError) as exc:
+        replay(ConstructionTrace(steps))
+    assert str(exc.value) == "trace introduces a vertex twice"
+
+
 # -------------------------------------------------------------- generator
 
 @settings(max_examples=60, deadline=None)
@@ -148,6 +159,20 @@ def test_generator_deterministic():
     assert a[1] == b[1]
     c = random_gclass(30, op2_bias=0.7, seed=43)
     assert a[1] != c[1]
+
+
+@pytest.mark.parametrize("bias", [-0.1, 1.0000001, 7, float("nan"),
+                                  float("inf")])
+def test_generator_rejects_bias_outside_unit_interval(bias):
+    with pytest.raises(ValueError, match=r"op2_bias must lie in \[0, 1\]"):
+        random_gclass(3, op2_bias=bias)
+
+
+def test_generator_accepts_bias_bounds():
+    _, only_op1 = random_gclass(5, op2_bias=0, seed=2)
+    _, only_op2 = random_gclass(5, op2_bias=1, seed=2)
+    assert all(isinstance(s, Op1Step) for s in only_op1.steps[1:])
+    assert all(isinstance(s, Op2Step) for s in only_op2.steps[1:])
 
 
 def test_generator_zero_steps():

@@ -8,6 +8,7 @@ from unipm import (Graph, IntervalRep, clique_chain, cograph_instance,
                    decompose, enumerate_pms, find_claw, interval_instance,
                    is_connected, is_cograph_bruteforce, is_split_bruteforce,
                    pmincf, replay, split_balance, split_instance, verify_pm)
+from unipm.cli import decide
 
 
 def test_cograph_instances_are_cographs():
@@ -37,6 +38,18 @@ def test_split_unique_flag_enforces_balance():
         assert split_balance(g, s, c)
     with pytest.raises(ValueError, match="even"):
         split_instance(7, seed=0, unique=True)
+
+
+@pytest.mark.parametrize("n", [2, 10, 64, 1000, 2000])
+def test_split_unique_flag_builds_unique_instances(n):
+    for seed in range(3):
+        g = split_instance(n, seed=seed, unique=True)
+        d = decide(g)
+        assert (d.method, d.unique) == ("forcing", True)
+        assert verify_pm(g, d.matching)
+        if n <= 10:
+            (m,) = enumerate_pms(g, 2)
+            assert m == d.matching
 
 
 def test_interval_instances_are_valid():

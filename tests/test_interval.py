@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from unipm import (Graph, IntervalParseError, IntervalPMError, IntervalRep,
                    Matching, enumerate_pms, intersection_graph, interval_pm,
-                   interval_instance, normalize_endpoints, parse_intervals)
+                   interval_instance, maximum_matching, normalize_endpoints,
+                   parse_intervals, verify_pm)
 
 NESTED_REP = IntervalRep(((1, 10), (2, 3), (4, 9), (5, 6)))
 
@@ -136,6 +137,25 @@ def test_interval_pm_exact_under_unique_promise(half, seed):
         # monotonicity: thresholds strictly increase round over round
         rounds = _sweep_thresholds(rep)
         assert all(a < b for a, b in zip(rounds, rounds[1:]))
+
+
+def test_interval_pm_stuck_only_without_perfect_matching():
+    """The rule gets stuck only when the intersection graph has no
+    perfect matching; otherwise it returns a perfect matching.  So an
+    answer with no matching (``unipm interval``'s "stuck" reason) is
+    right to call the graph not-unique."""
+    stuck = 0
+    for seed in range(10_000):
+        rep = interval_instance(2 * (seed % 8), seed=seed)
+        g = intersection_graph(rep)
+        try:
+            m = interval_pm(rep)
+        except IntervalPMError:
+            stuck += 1
+            assert 2 * len(maximum_matching(g)) < rep.n, rep
+            continue
+        assert verify_pm(g, m), rep
+    assert stuck > 1000  # the stuck branch is exercised
 
 
 def test_step_invariant_on_unique_instances():
