@@ -68,20 +68,22 @@ def format_trace(trace: ConstructionTrace) -> str:
 
 
 def parse_trace(text: str) -> ConstructionTrace:
+    """Steps from format_trace's text; blank lines and lines whose first
+    token starts with '#' are skipped, and line numbers count them."""
     steps: list[Step] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
+        key, size = parts[0], len(parts)
         try:
-            if parts[0] == "INIT" and len(parts) == 3:
-                steps.append(InitStep(int(parts[1]), int(parts[2])))
-            elif parts[0] == "OP1" and len(parts) == 4:
+            if key == "OP1" and size == 4:
                 steps.append(Op1Step(int(parts[1]), int(parts[2]), int(parts[3])))
-            elif parts[0] == "OP2" and len(parts) >= 4:
-                steps.append(Op2Step(tuple(int(p) for p in parts[3:]),
+            elif key == "OP2" and size >= 4:
+                steps.append(Op2Step(tuple(map(int, parts[3:])),
                                      int(parts[1]), int(parts[2])))
+            elif key == "INIT" and size == 3:
+                steps.append(InitStep(int(parts[1]), int(parts[2])))
             else:
                 raise ValueError
         except ValueError:
@@ -112,8 +114,8 @@ def _outside_violation(g: Graph, clique: tuple[int, ...],
     """Why a member of the clique cset has non-adjacent outside neighbors."""
     removed = g.removed
     for u in clique:
-        pair = _non_adjacent_pair(
-            g, [w for w in g.adjacency[u] if not removed[w] and w not in cset])
+        outside = [w for w in g.adjacency[u] if not removed[w] and w not in cset]
+        pair = _non_adjacent_pair(g, outside) if len(outside) > 1 else None
         if pair is not None:
             return (f"vertex {u} in C has non-adjacent outside "
                     f"neighbors {pair[0]} and {pair[1]}")
@@ -130,12 +132,9 @@ def apply_op1(g: Graph, u: int) -> tuple[int, int]:
         raise OperationError(f"vertex {u} is removed")
     if not is_simplicial(g, u):
         raise OperationError(f"vertex {u} is not simplicial")
-    x = g.add_vertex()
-    y = g.add_vertex()
-    g.add_edge(x, y)
-    g.add_edge(x, u)
-    g.add_edge(y, u)
-    return x, y
+    step = Op1Step(u, g.add_vertex(), g.add_vertex())
+    _attach(g, step)
+    return step.x, step.y
 
 
 def apply_op2(g: Graph, clique: tuple[int, ...]) -> tuple[int, int]:
@@ -145,29 +144,35 @@ def apply_op2(g: Graph, clique: tuple[int, ...]) -> tuple[int, int]:
     adjacent to x only.  Valid means: C is a non-empty clique and the
     outside neighborhood of every member is a clique.
     """
-    reason = _op2_violation(g, tuple(clique))
+    clique = tuple(clique)
+    reason = _op2_violation(g, clique)
     if reason is not None:
         raise OperationError(reason)
-    return _attach_pendant_path(g, clique)
+    step = Op2Step(clique, g.add_vertex(), g.add_vertex())
+    _attach(g, step)
+    return step.x, step.y
 
 
-def _attach_pendant_path(g: Graph,
-                         clique: tuple[int, ...]) -> tuple[int, int]:
-    """The second operation without its precondition check: fresh x, y
-    with the edges x-y and x-c for each c in clique, appended as
-    add_edge would append them (x and y are fresh, so none is a
-    duplicate or touches a removed vertex)."""
-    x = g.add_vertex()
-    y = g.add_vertex()
+def _attach(g: Graph, step: Op1Step | Op2Step) -> None:
+    """Append a step's edges to g without its precondition check, in
+    the order add_edge would append them: x-y, then x-u and y-u, or x-c
+    for each c in the clique.  x and y have no edges yet and the anchors
+    are other vertices, so no edge is a loop or a duplicate."""
     adj = g.adjacency
-    ax = adj[x]
-    ax.append(y)
-    adj[y].append(x)
-    for c in clique:
-        ax.append(c)
-        adj[c].append(x)
-    g.edge_count += 1 + len(clique)
-    return x, y
+    x, y = step.x, step.y
+    if isinstance(step, Op1Step):
+        u = step.u
+        adj[x] += (y, u)
+        adj[y] += (x, u)
+        adj[u] += (x, y)
+        g.edge_count += 3
+    else:
+        adj[x].append(y)
+        adj[x] += step.clique
+        adj[y].append(x)
+        for c in step.clique:
+            adj[c].append(x)
+        g.edge_count += 1 + len(step.clique)
 
 
 class _RandomAccessSet:
@@ -247,50 +252,51 @@ def random_gclass(steps: int, op2_bias: float = 0.5,
     for _ in range(steps):
         if rng.random() < op2_bias:
             clique = _sample_op2_clique(g, rng) or (last_y,)
-            x, y = _attach_pendant_path(g, clique)
+            step: Step = Op2Step(clique, g.add_vertex(), g.add_vertex())
+            _attach(g, step)
             # c gains x, which sees only C and y, so c stays simplicial
             # iff N(c) is (C - c) + x, of size |C|; none becomes simplicial
             for c in clique:
                 if len(g.adjacency[c]) > len(clique):
                     simplicial.discard(c)
-            simplicial.add(y)
-            trace.append(Op2Step(clique, x, y))
         else:
+            # drawn from the simplicial set, so op1's check holds as read
             u = simplicial.choice(rng)
-            x, y = apply_op1(g, u)
+            step = Op1Step(u, g.add_vertex(), g.add_vertex())
+            _attach(g, step)
             # u gains the mutually adjacent pair x, y and stops being
             # simplicial (its old neighbors never see x or y)
             simplicial.discard(u)
-            simplicial.add(x)
-            simplicial.add(y)
-            trace.append(Op1Step(u, x, y))
-        last_y = y
+            simplicial.add(step.x)
+        simplicial.add(step.y)
+        trace.append(step)
+        last_y = step.y
     return g, ConstructionTrace(tuple(trace))
 
 
 def replay(trace: ConstructionTrace) -> Graph:
-    """Rebuild the construction with full validation at every step.
+    """Rebuild the construction, checking each step's preconditions once.
 
     Vertex ids are taken from the trace verbatim (decomposition traces
     preserve the original labeling), so the result equals the source
-    graph exactly.  Any violated precondition raises an OperationError
-    naming the step index; a vertex id at or above ``MAX_VERTICES``
-    raises one before anything is allocated.
+    graph exactly; an id the trace never names stays removed.  Any
+    violated precondition raises an OperationError naming the step
+    index; a vertex id at or above ``MAX_VERTICES`` raises one before
+    anything is allocated.  Every id starts removed and comes alive
+    after its step, so present means live and every listed neighbour
+    is live, and a step's edges need none of add_edge's checks.
     """
     steps = trace.steps
     if not steps or not isinstance(steps[0], InitStep):
         raise OperationError("step 0: trace must start with INIT")
-    mentioned: list[int] = []
-    for i, step in enumerate(steps):
-        if i > 0 and isinstance(step, InitStep):
-            raise OperationError(f"step {i}: INIT only allowed first")
+    init = steps[0]
+    mentioned = [init.u, init.v]
+    for i, step in enumerate(steps[1:], start=1):
         if isinstance(step, InitStep):
-            mentioned += [step.u, step.v]
-        else:
-            mentioned += [step.x, step.y]
-    mentioned_set = set(mentioned)
+            raise OperationError(f"step {i}: INIT only allowed first")
+        mentioned += step.x, step.y
     # hence INIT's u != v, and each step's x and y are not yet present
-    if len(mentioned_set) != len(mentioned):
+    if len(set(mentioned)) != len(mentioned):
         raise OperationError("trace introduces a vertex twice")
     if min(mentioned) < 0:
         raise OperationError("negative vertex id in trace")
@@ -299,36 +305,28 @@ def replay(trace: ConstructionTrace) -> Graph:
         raise OperationError(f"trace needs {n} vertices, more than the "
                              f"limit of {MAX_VERTICES}")
     g = Graph(n)
-    for v in range(n):
-        if v not in mentioned_set:
-            g.remove_vertex(v)  # id gaps stay permanently removed
-    init = steps[0]
+    adj = g.adjacency
+    removed = g.removed = [True] * n
+    removed[init.u] = removed[init.v] = False
     g.add_edge(init.u, init.v)
-    present = {init.u, init.v}
 
     for i, step in enumerate(steps[1:], start=1):
         if isinstance(step, Op1Step):
-            anchors: tuple[int, ...] = (step.u,)
+            u = step.u
+            if not 0 <= u < n or removed[u]:
+                raise OperationError(f"step {i}: vertex {u} not yet present")
+            if _non_adjacent_pair(g, adj[u]) is not None:
+                raise OperationError(f"step {i}: vertex {u} is not simplicial")
         else:
-            anchors = step.clique
-        for a in anchors:
-            if a not in present:
-                raise OperationError(f"step {i}: vertex {a} not yet present")
-        if isinstance(step, Op1Step):
-            if not is_simplicial(g, step.u):
-                raise OperationError(f"step {i}: vertex {step.u} is not simplicial")
-        else:
+            for a in step.clique:
+                if not 0 <= a < n or removed[a]:
+                    raise OperationError(f"step {i}: vertex {a} not yet present")
             reason = _op2_violation(g, step.clique)
             if reason is not None:
                 raise OperationError(f"step {i}: {reason}")
-        g.add_edge(step.x, step.y)
-        if isinstance(step, Op1Step):
-            g.add_edge(step.x, step.u)
-            g.add_edge(step.y, step.u)
-        else:
-            for c in step.clique:
-                g.add_edge(step.x, c)
-        present.update((step.x, step.y))
+        _attach(g, step)
+        removed[step.x] = removed[step.y] = False
+    g.live_count = len(mentioned)
     return g
 
 
@@ -350,7 +348,10 @@ def decompose(g: Graph) -> ConstructionTrace | None:
     # endblock with 2 or 3 vertices passes its check and leaves a class
     # member (which has one again: the last step's x, y), so the order
     # the peel finds them in does not matter.
+    # The peel deletes only the pairs it yields, so u and the clique are
+    # live, and the clique, read from x's list, has no repeats.
     work = g.view()
+    adj, removed = work.adjacency, work.removed
     steps: list[Step] = []
     for x, y, u in _forced_pairs(work):
         if not work.live_count:
@@ -358,12 +359,15 @@ def decompose(g: Graph) -> ConstructionTrace | None:
             steps.reverse()
             return ConstructionTrace(tuple(steps))
         if u != -1:
-            if not is_simplicial(work, u):
+            if _non_adjacent_pair(
+                    work, [w for w in adj[u] if not removed[w]]) is not None:
                 return None
             steps.append(Op1Step(u, x, y))
         else:
-            clique = tuple(sorted(work.live_neighbors(x)))
-            if _op2_violation(work, clique) is not None:
+            clique = tuple(sorted([w for w in adj[x] if not removed[w]]))
+            if (not clique or _non_adjacent_pair(work, clique) is not None
+                    or _outside_violation(work, clique, set(clique))
+                    is not None):
                 return None
             steps.append(Op2Step(clique, x, y))
     return None

@@ -304,9 +304,30 @@ def find_claw(g: Graph) -> tuple[int, tuple[int, int, int]] | None:
 
 
 def _non_adjacent_pair(g: Graph, vertices: Sequence[int]) -> tuple[int, int] | None:
-    """First pair (a, b), a listed before b, of non-adjacent vertices."""
-    for i, a in enumerate(vertices[:-1]):
-        aset = set(g.adjacency[a])
+    """First pair (a, b), a listed before b, of non-adjacent vertices.
+
+    A pair costs one lookup.  A longer list is put in one set, and each
+    vertex but the last has its neighbours in that set counted, so a
+    clique costs the length of its members' lists (the last vertex is
+    then seen by all the others).  Only the first vertex whose count
+    falls short starts the pairwise scan: every vertex before it sees
+    all the others, so the first pair starts there or later.  A vertex
+    listed twice never sees itself, so every count falls short and the
+    scan runs from the start.
+    """
+    adj = g.adjacency
+    if len(vertices) == 2:
+        a, b = vertices
+        return None if b in adj[a] else (a, b)
+    members = set(vertices)
+    others = len(vertices) - 1
+    for i in range(others):
+        if len(members.intersection(adj[vertices[i]])) < others:
+            break
+    else:
+        return None
+    for i, a in enumerate(vertices[i:-1], i):
+        aset = set(adj[a])
         for b in vertices[i + 1:]:
             if b not in aset:
                 return a, b

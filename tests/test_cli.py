@@ -190,12 +190,29 @@ def test_check_internal_error_exit_4(c4_file, capsys, monkeypatch):
 ], ids=["mid_chorded_chain", "<lambda>", "two_fans", "near_triangle",
         "fan_ladder"])
 def test_check_same_answer_without_asserts(tmp_path, capsys, make):
-    # python -O strips every assert, so no verdict may rest on one
-    f = write(tmp_path, "g.g", serialize_graph(make()))
-    code, out = run(capsys, ["check", f])
+    same_answer_without_asserts(
+        capsys, ["check", write(tmp_path, "g.g", serialize_graph(make()))])
+
+
+@pytest.mark.parametrize("command, content, expect", [
+    ("decompose", serialize_graph(random_gclass(60, seed=3)[0]), 0),
+    ("decompose", serialize_graph(g_of(6, C4_EDGES + [(0, 4), (2, 5)])), 1),
+    ("replay", "INIT 0 1\nOP1 0 2 3\nOP2 4 5 2 3\n", 0),
+    ("replay", "INIT 0 1\nOP1 0 2 3\nOP1 0 4 5\n", 2),
+    ("replay", "INIT 0 1\nOP2 2 3\n", 2),
+], ids=["member", "non_member", "trace", "invalid_trace", "malformed_trace"])
+def test_class_ops_same_answer_without_asserts(tmp_path, capsys, command,
+                                               content, expect):
+    assert same_answer_without_asserts(
+        capsys, [command, write(tmp_path, "in.txt", content)]) == expect
+
+
+def same_answer_without_asserts(capsys, argv):
+    # python -O strips every assert, so no answer may rest on one
+    code, out = run(capsys, argv)
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(unipm.__file__)))
-    proc = subprocess.run([sys.executable, "-O", "-m", "unipm.cli", "check", f],
+    proc = subprocess.run([sys.executable, "-O", "-m", "unipm.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
 
     def answer(text):
@@ -204,6 +221,7 @@ def test_check_same_answer_without_asserts(tmp_path, capsys, make):
     assert proc.returncode == code
     assert proc.stderr == ""
     assert answer(proc.stdout) == answer(out)
+    return code
 
 
 def test_check_parse_error_exit_2(tmp_path, capsys):

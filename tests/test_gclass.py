@@ -94,6 +94,39 @@ def test_trace_parse_errors():
         parse_trace("# nothing\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("INIT 0\n", "malformed trace line 1: 'INIT 0'"),
+    ("INIT 0 1 2\n", "malformed trace line 1: 'INIT 0 1 2'"),
+    ("INIT 0 1\nOP1 0 2\n", "malformed trace line 2: 'OP1 0 2'"),
+    ("INIT 0 1\nOP1 0 2 3 4\n", "malformed trace line 2: 'OP1 0 2 3 4'"),
+    ("INIT 0 1\nOP2 2 3\n", "malformed trace line 2: 'OP2 2 3'"),
+    ("INIT 0 1\nOP2\n", "malformed trace line 2: 'OP2'"),
+    ("INIT 0 x\n", "malformed trace line 1: 'INIT 0 x'"),
+    ("INIT 0 1\nOP1 0 2.0 3\n", "malformed trace line 2: 'OP1 0 2.0 3'"),
+    ("INIT 0 1\nOP2 2 3 0 one\n", "malformed trace line 2: 'OP2 2 3 0 one'"),
+    ("WAT 0 1\n", "malformed trace line 1: 'WAT 0 1'"),
+    ("init 0 1\n", "malformed trace line 1: 'init 0 1'"),
+    ("INIT 0 1 # the edge\n", "malformed trace line 1: 'INIT 0 1 # the edge'"),
+    # comment and blank lines count, and the line is quoted as read
+    ("# a\n\n  # b\nINIT 0 1\n \t\nOP1 0 2\n",
+     "malformed trace line 6: 'OP1 0 2'"),
+    ("INIT 0 1\r\n\r\n\tOP1  0 2 x \r\n",
+     "malformed trace line 3: '\\tOP1  0 2 x '"),
+    ("", "empty trace"),
+    ("\n  \n# only comments\n", "empty trace"),
+])
+def test_trace_parse_error_messages(text, message):
+    with pytest.raises(OperationError) as exc:
+        parse_trace(text)
+    assert str(exc.value) == message
+
+
+def test_trace_parse_skips_comments_and_spacing():
+    text = "# built by hand\n\n  INIT 3 1 \n\t# op1\nOP1 1\t4 5\nOP2 6 7   5\n"
+    assert parse_trace(text) == ConstructionTrace(
+        (InitStep(3, 1), Op1Step(1, 4, 5), Op2Step((5,), 6, 7)))
+
+
 # ----------------------------------------------------------------- replay
 
 def test_replay_init_only():
