@@ -1,8 +1,7 @@
 # Forcing-set elimination: the linear-time decision for cographs and
 # split graphs, and where it stops working.
 
-from unipm import (Graph, enumerate_pms, find_forcing_set, is_cograph_bruteforce,
-                   is_split_bruteforce, split_balance)
+from unipm import Graph, enumerate_pms, find_forcing_set, is_clique
 from unipm.cli import decide
 
 # P4 is bipartite, a path, and elimination walks right through it.
@@ -15,22 +14,24 @@ print("matching:", cert.matching.pairs)
 c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 print("C4:", find_forcing_set(c4))
 
-# The paw is a split graph: clique {0,1,2}, independent {3}.
+# The paw is a split graph by construction: the triangle C = {0, 1, 2}
+# is a clique and the pendant S = {3} an independent set.
 paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-print("\npaw is split:", is_split_bruteforce(paw))
-print("paw is cograph:", is_cograph_bruteforce(paw))
+clique, indep = {0, 1, 2}, {3}
+print("\npaw C is a clique:", is_clique(paw, clique))
 cert = find_forcing_set(paw)
 print("paw forcing:", cert.forced, "->", cert.matching.pairs)
 
-# Unique-matching split graphs are balanced: |C| - |S| is 0 or 2.
-s, c = is_split_bruteforce(paw)
-print("balance |C|-|S| in {0,2}:", split_balance(paw, s, c))
+# In a perfect matching of a split graph, S matches into C and the rest
+# of C pairs up inside it; two such clique pairs could swap partners,
+# so a unique matching needs |C| - |S| in {0, 2}.  The paw has 3 - 1.
+print("paw |C| - |S|:", len(clique) - len(indep))
 
-# K4 is split too, but 4 - 0 = 4: consistent with its 3 matchings.
+# K4 split as C = {0, 1, 2, 3}, S = {} has 4 - 0 = 4: two clique pairs,
+# and indeed 3 matchings.
 k4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-s, c = is_split_bruteforce(k4)
-print("K4 balance:", split_balance(k4, s, c),
-      "| oracle count:", len(enumerate_pms(k4, 5)))
+print("K4 |C| - |S|:", 4 - 0, "| oracle count:", len(enumerate_pms(k4, 5)),
+      "| forcing:", find_forcing_set(k4))
 
 # On general graphs success still certifies uniqueness, but failure
 # proves nothing: the flower has a unique matching and min degree 2,
@@ -38,8 +39,7 @@ print("K4 balance:", split_balance(k4, s, c),
 flower = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5),
                               (0, 3), (0, 2), (1, 4), (1, 5)])
 print("\nflower oracle count:", len(enumerate_pms(flower, 2)))
-print("flower min degree:",
-      min(flower.live_degree(u) for u in flower.live_vertices()))
+print("flower min degree:", min(map(len, flower.adjacency)))
 print("flower forcing:", find_forcing_set(flower))
 
 # decide (behind `unipm check`) peels pendant triangles too, which

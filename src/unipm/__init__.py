@@ -8,11 +8,10 @@ module twice.
 
 from .graph import (Graph, GraphParseError, Matching, connected_components,
                     find_bridges, find_claw, format_matching, is_clique,
-                    is_cograph_bruteforce, is_connected, is_simplicial,
-                    is_split_bruteforce, parse_graph, serialize_graph)
+                    is_connected, is_simplicial, parse_graph, serialize_graph)
 from .uniqueness import (AlternatingCycleWitness, enumerate_pms, is_unique_pm,
                          kotzig_peel, maximum_matching, verify_pm)
-from .forcing import ForcingCertificate, find_forcing_set, split_balance
+from .forcing import ForcingCertificate, find_forcing_set
 from .interval import (IntervalParseError, IntervalPMError, IntervalRep,
                        intersection_graph, interval_pm, normalize_endpoints,
                        parse_intervals)
@@ -28,11 +27,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph", "GraphParseError", "Matching", "connected_components",
     "find_bridges", "find_claw", "format_matching", "is_clique",
-    "is_cograph_bruteforce", "is_connected", "is_simplicial",
-    "is_split_bruteforce", "parse_graph", "serialize_graph",
+    "is_connected", "is_simplicial", "parse_graph", "serialize_graph",
     "AlternatingCycleWitness", "enumerate_pms", "is_unique_pm", "kotzig_peel",
     "maximum_matching", "verify_pm",
-    "ForcingCertificate", "find_forcing_set", "split_balance",
+    "ForcingCertificate", "find_forcing_set",
     "IntervalParseError", "IntervalPMError", "IntervalRep",
     "intersection_graph", "interval_pm", "normalize_endpoints",
     "parse_intervals",

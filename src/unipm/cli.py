@@ -27,8 +27,9 @@ from .forcing import find_forcing_set
 from .gclass import decompose, format_trace, parse_trace, random_gclass, replay
 from .generators import (clique_chain, cograph_instance, interval_instance,
                          split_instance)
-from .graph import (Graph, GraphParseError, Matching, _forced_pairs,
-                    find_claw, format_matching, parse_graph, serialize_graph)
+from .graph import (MAX_VERTICES, Graph, GraphParseError, Matching,
+                    _forced_pairs, find_claw, format_matching, parse_graph,
+                    serialize_graph)
 from .interval import (IntervalPMError, intersection_graph, interval_pm,
                        parse_intervals)
 from .uniqueness import (AlternatingCycleWitness, enumerate_pms, is_unique_pm,
@@ -38,8 +39,6 @@ EXIT_OK = 0
 EXIT_NOT_UNIQUE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 4
-
-BENCH_SCHEMA = "unipm-bench-1"
 
 
 def _emit(key: str, value) -> None:
@@ -201,6 +200,14 @@ def _cmd_clawfree(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # refuse an order the generators would run out of memory building
+    if args.family in ("gclass", "clique-chain"):
+        order = 2 * args.steps + 2
+    else:
+        order = args.n
+    if order > MAX_VERTICES:
+        raise ValueError(f"{args.family} of order {order} exceeds the limit "
+                         f"of {MAX_VERTICES}")
     prefix = args.out
     written = []
     if args.family == "gclass":
@@ -260,70 +267,6 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def bench_rows(family: str, sizes: list[int], repetitions: int,
-               seed: int) -> list[tuple]:
-    """Benchmark rows: (schema, family, n, m, rep, wall_s, advances, lm_updates).
-
-    pmincf itself raises RuntimeError if the cursors advance past the
-    live adjacency lengths, which is 2m here (no vertex is removed).
-    Repetitions are interleaved round-robin across the sizes and cyclic
-    GC is paused while timing, so a transient slowdown of the host hits
-    every size instead of silently inflating one size's whole block;
-    per-size medians then stay comparable.
-    """
-    import gc
-
-    instances = []
-    for target_m in sizes:
-        if family == "clique-chain":
-            g, _ = clique_chain(max(0, (target_m - 1) // 3))
-        elif family == "gclass":
-            steps = max(0, target_m // 3)
-            g, _ = random_gclass(steps, op2_bias=0.5, seed=seed)
-        else:
-            raise ValueError(f"bench family must be gclass or clique-chain, "
-                             f"not {family!r}")
-        pmincf(g)  # warmup, excluded from timing
-        instances.append(g)
-    per_size: list[list[tuple]] = [[] for _ in instances]
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for rep in range(repetitions):
-            for i, g in enumerate(instances):
-                stats = PmincfStats()
-                start = time.perf_counter()
-                pmincf(g, stats=stats)
-                elapsed = time.perf_counter() - start
-                per_size[i].append(
-                    (BENCH_SCHEMA, family, g.live_count, g.edge_count, rep,
-                     f"{elapsed:.6f}", stats.cursor_advances,
-                     stats.lm_nb_updates))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return [row for rows in per_size for row in rows]
-
-
-def _cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError:
-        sizes = []
-    if not sizes or min(sizes) < 1:
-        raise ValueError("--sizes needs one or more positive edge counts")
-    if args.repetitions < 1:
-        raise ValueError("--repetitions must be positive")
-    # open --out before the run, so an unwritable path fails at once
-    out = _output(args.out) if args.out else contextlib.nullcontext(sys.stdout)
-    with out as fh:
-        rows = bench_rows(args.family, sizes, args.repetitions, args.seed)
-        lines = ["schema,family,n,m,rep,wall_time_s,cursor_advances,lm_nb_updates"]
-        lines.extend(",".join(map(str, row)) for row in rows)
-        fh.write("\n".join(lines) + "\n")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unipm",
@@ -379,16 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--cap", type=int, default=2)
     p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("bench", help="linearity benchmark (CSV)")
-    p.add_argument("--family", default="clique-chain",
-                   choices=["gclass", "clique-chain"])
-    p.add_argument("--sizes", default="10000,20000,40000",
-                   help="comma-separated edge-count targets")
-    p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

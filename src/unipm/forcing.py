@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .graph import Graph, Matching, is_clique
+from .graph import Graph, Matching
 
 
 @dataclass(frozen=True)
@@ -68,20 +68,3 @@ def find_forcing_set(g: Graph) -> ForcingCertificate | None:
         return None
     return ForcingCertificate(tuple(forced), Matching(forced))
 
-
-def split_balance(g: Graph, indep: set[int], clique: set[int]) -> bool:
-    """True iff |C| - |S| is 0 or 2 for a valid split partition (S, C).
-
-    Necessary condition for a split graph to have a unique perfect
-    matching.  Raises on an invalid partition.
-    """
-    live = set(g.live_vertices())
-    if indep & clique or (indep | clique) != live:
-        raise ValueError("S and C must partition the live vertices")
-    for u in indep:
-        for w in g.adjacency[u]:
-            if w in indep:
-                raise ValueError(f"S is not independent: edge {u}-{w}")
-    if not is_clique(g, clique):
-        raise ValueError("C is not a clique")
-    return len(clique) - len(indep) in (0, 2)

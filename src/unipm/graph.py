@@ -111,14 +111,6 @@ class Graph:
         removed = self.removed
         return (u for u in range(len(self.adjacency)) if not removed[u])
 
-    def live_neighbors(self, u: int) -> Iterator[int]:
-        removed = self.removed
-        return (w for w in self.adjacency[u] if not removed[w])
-
-    def live_degree(self, u: int) -> int:
-        removed = self.removed
-        return sum(1 for w in self.adjacency[u] if not removed[w])
-
     def has_edge(self, u: int, v: int) -> bool:
         if self.removed[u] or self.removed[v]:
             return False
@@ -182,12 +174,6 @@ class Matching:
         canon.sort()
         self.pairs: list[tuple[int, int]] = canon
         self.partner: dict[int, int] = partner
-
-    def partner_of(self, u: int) -> int | None:
-        return self.partner.get(u)
-
-    def covers(self, u: int) -> bool:
-        return u in self.partner
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -485,54 +471,3 @@ def _forced_pairs(g: Graph) -> Iterator[tuple[int, int, int]]:
         g.live_count -= 2
         yield x, y, u
 
-
-def is_cograph_bruteforce(g: Graph) -> bool:
-    """True iff the live graph has no induced P4 (quadruple enumeration).
-
-    Test-scale utility; intended for live_count <= ~12.
-    """
-    live = list(g.live_vertices())
-    adjsets = {u: set(g.adjacency[u]) for u in live}
-    for quad in combinations(live, 4):
-        deg = [sum(1 for b in quad if b != a and b in adjsets[a]) for a in quad]
-        if sum(deg) == 6 and sorted(deg) == [1, 1, 2, 2]:
-            return False
-    return True
-
-
-def is_split_bruteforce(g: Graph) -> tuple[set[int], set[int]] | None:
-    """Partition of live vertices into (independent S, clique C), or None.
-
-    Exhaustive over clique candidates by bitmask; first hit in mask
-    order is returned.  Test-scale utility.
-    """
-    live = list(g.live_vertices())
-    k = len(live)
-    if k == 0:
-        return set(), set()
-    index = {u: i for i, u in enumerate(live)}
-    nbr_mask = [0] * k
-    for i, u in enumerate(live):
-        for w in g.adjacency[u]:
-            if not g.removed[w]:
-                nbr_mask[i] |= 1 << index[w]
-    full = (1 << k) - 1
-    for cmask in range(full + 1):
-        ok = True
-        for i in range(k):
-            bit = 1 << i
-            if cmask & bit:
-                # i must see every other clique member
-                if (cmask & ~bit) & ~nbr_mask[i]:
-                    ok = False
-                    break
-            else:
-                # i must see no other independent member
-                if (~cmask & full & ~bit) & nbr_mask[i]:
-                    ok = False
-                    break
-        if ok:
-            clique = {live[i] for i in range(k) if cmask & (1 << i)}
-            indep = {live[i] for i in range(k) if not cmask & (1 << i)}
-            return indep, clique
-    return None

@@ -1,4 +1,5 @@
-"""Shared fixtures: named small graphs and exhaustive/random corpora."""
+"""Shared fixtures: named small graphs, exhaustive/random corpora, and
+brute-force class recognizers for test-scale graphs."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from unipm import Graph, Matching, clique_chain, enumerate_pms
+from unipm import Graph, Matching, clique_chain, enumerate_pms, is_clique
 
 # hand-checked ground truth used across modules
 PAW_EDGES = [(0, 1), (0, 2), (1, 2), (0, 3)]           # triangle + pendant
@@ -77,6 +78,76 @@ def fan_ladder(k: int, chord: bool = False) -> tuple[Graph, Matching]:
     if chord:
         edges.append((0, 12 * k - 11))
     return Graph.from_edges(12 * k, edges), Matching(pairs)
+
+
+def is_cograph_bruteforce(g: Graph) -> bool:
+    """True iff the live graph has no induced P4 (quadruple enumeration).
+
+    Test-scale utility; intended for live_count <= ~12.
+    """
+    live = list(g.live_vertices())
+    adjsets = {u: set(g.adjacency[u]) for u in live}
+    for quad in combinations(live, 4):
+        deg = [sum(1 for b in quad if b != a and b in adjsets[a]) for a in quad]
+        if sum(deg) == 6 and sorted(deg) == [1, 1, 2, 2]:
+            return False
+    return True
+
+
+def is_split_bruteforce(g: Graph) -> tuple[set[int], set[int]] | None:
+    """Partition of live vertices into (independent S, clique C), or None.
+
+    Exhaustive over clique candidates by bitmask; first hit in mask
+    order is returned.  Test-scale utility.
+    """
+    live = list(g.live_vertices())
+    k = len(live)
+    if k == 0:
+        return set(), set()
+    index = {u: i for i, u in enumerate(live)}
+    nbr_mask = [0] * k
+    for i, u in enumerate(live):
+        for w in g.adjacency[u]:
+            if not g.removed[w]:
+                nbr_mask[i] |= 1 << index[w]
+    full = (1 << k) - 1
+    for cmask in range(full + 1):
+        ok = True
+        for i in range(k):
+            bit = 1 << i
+            if cmask & bit:
+                # i must see every other clique member
+                if (cmask & ~bit) & ~nbr_mask[i]:
+                    ok = False
+                    break
+            else:
+                # i must see no other independent member
+                if (~cmask & full & ~bit) & nbr_mask[i]:
+                    ok = False
+                    break
+        if ok:
+            clique = {live[i] for i in range(k) if cmask & (1 << i)}
+            indep = {live[i] for i in range(k) if not cmask & (1 << i)}
+            return indep, clique
+    return None
+
+
+def split_balance(g: Graph, indep: set[int], clique: set[int]) -> bool:
+    """True iff |C| - |S| is 0 or 2 for a valid split partition (S, C).
+
+    Necessary condition for a split graph to have a unique perfect
+    matching.  Raises on an invalid partition.
+    """
+    live = set(g.live_vertices())
+    if indep & clique or (indep | clique) != live:
+        raise ValueError("S and C must partition the live vertices")
+    for u in indep:
+        for w in g.adjacency[u]:
+            if w in indep:
+                raise ValueError(f"S is not independent: edge {u}-{w}")
+    if not is_clique(g, clique):
+        raise ValueError("C is not a clique")
+    return len(clique) - len(indep) in (0, 2)
 
 
 @pytest.fixture

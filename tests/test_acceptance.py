@@ -11,19 +11,19 @@ sample, mirroring the sampling approach criterion 1 itself prescribes
 for n=8.
 """
 
+import gc
 import random
 import statistics
 import time
 
-from unipm import (Graph, IntervalPMError, PmincfStats, decompose,
-                   enumerate_pms, find_bridges, find_claw, find_forcing_set,
-                   interval_instance, intersection_graph, interval_pm,
-                   is_cograph_bruteforce, is_split_bruteforce, is_unique_pm,
-                   kotzig_peel, pmincf, random_gclass, replay, split_balance,
-                   verify_pm)
-from unipm.cli import bench_rows
+from unipm import (Graph, IntervalPMError, PmincfStats, clique_chain,
+                   decompose, enumerate_pms, find_bridges, find_claw,
+                   find_forcing_set, interval_instance, intersection_graph,
+                   interval_pm, is_unique_pm, kotzig_peel, pmincf,
+                   random_gclass, replay, verify_pm)
 
-from conftest import iter_connected_edge_sets
+from conftest import (is_cograph_bruteforce, is_split_bruteforce,
+                      iter_connected_edge_sets, split_balance)
 
 INTERVAL_SAMPLE_SIZE = 10_000
 GCLASS_SAMPLE_SIZE = 1_000
@@ -145,6 +145,45 @@ def test_criterion_4_pmincf_validity(n8_sample):
               f"{members} class members")
 
 
+def _pmincf_runs(family: str, sizes: list[int], repetitions: int,
+                 seed: int) -> list[list[tuple[int, float, int]]]:
+    """Per size, one (m, wall seconds, cursor advances) per repetition.
+
+    pmincf itself raises RuntimeError if the cursors advance past the
+    live adjacency lengths, which is 2m here (no vertex is removed).
+    Each instance is matched once untimed as a warm-up.  Repetitions are
+    interleaved round-robin across the sizes and cyclic GC is paused
+    while timing, so a transient slowdown of the host hits every size
+    instead of silently inflating one size's whole block; per-size
+    medians then stay comparable.
+    """
+    instances = []
+    for target_m in sizes:
+        if family == "clique-chain":
+            g, _ = clique_chain(max(0, (target_m - 1) // 3))
+        else:
+            g, _ = random_gclass(max(0, target_m // 3), op2_bias=0.5,
+                                 seed=seed)
+        pmincf(g)  # warm-up, excluded from timing
+        instances.append(g)
+    runs: list[list[tuple[int, float, int]]] = [[] for _ in instances]
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repetitions):
+            for g, size_runs in zip(instances, runs):
+                stats = PmincfStats()
+                start = time.perf_counter()
+                pmincf(g, stats=stats)
+                elapsed = time.perf_counter() - start
+                size_runs.append((g.edge_count, elapsed,
+                                  stats.cursor_advances))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return runs
+
+
 def test_criterion_5_pmincf_linearity():
     """Cursor advances <= 2m on every run (hard); median wall time at 2m
     is <= 3x the time at m (soft); whole sweep under 2 minutes."""
@@ -153,13 +192,12 @@ def test_criterion_5_pmincf_linearity():
     reps = 5
     worst = {}
     for family in ("clique-chain", "gclass"):
-        rows = bench_rows(family, sizes, repetitions=reps, seed=5)
-        for _, _, n, m, _, _, advances, _ in rows:
-            assert advances <= 2 * m, f"{family} m={m}: advances {advances}"
-        medians = []
-        for i, target in enumerate(sizes):
-            times = [float(r[5]) for r in rows[reps * i:reps * (i + 1)]]
-            medians.append(statistics.median(times))
+        runs = _pmincf_runs(family, sizes, repetitions=reps, seed=5)
+        for size_runs in runs:
+            for m, _, advances in size_runs:
+                assert advances <= 2 * m, f"{family} m={m}: advances {advances}"
+        medians = [statistics.median(t for _, t, _ in size_runs)
+                   for size_runs in runs]
         ratios = [b / a for a, b in zip(medians, medians[1:])]
         worst[family] = max(ratios)
         assert all(r <= 3.0 for r in ratios), f"{family} ratios {ratios}"
@@ -242,7 +280,7 @@ def test_criterion_8_forcing_incompleteness_witness(small_corpus):
         if not entry.unique:
             continue
         g = entry.graph
-        if min(g.live_degree(u) for u in g.live_vertices()) < 2:
+        if min(map(len, g.adjacency)) < 2:  # no vertex is removed
             continue
         if find_forcing_set(g) is None:
             witnesses.append(entry)

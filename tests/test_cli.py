@@ -374,6 +374,42 @@ def test_gen_unique_split_odd_n_is_input_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("family, size, order", [
+    ("interval", ["-n", "100000000000"], 100000000000),
+    ("cograph", ["-n", str(MAX_VERTICES + 1)], MAX_VERTICES + 1),
+    ("split", ["-n", str(MAX_VERTICES + 1)], MAX_VERTICES + 1),
+    ("gclass", ["--steps", str(MAX_VERTICES // 2)], MAX_VERTICES + 2),
+    ("clique-chain", ["--steps", "10000000000"], 20000000002),
+    ("interval", ["-n", str(MAX_VERTICES)], MAX_VERTICES),
+    ("clique-chain", ["--steps", str(MAX_VERTICES // 2 - 1)], MAX_VERTICES),
+])
+def test_gen_bounds_order_before_building(tmp_path, capsys, monkeypatch,
+                                          family, size, order):
+    # a stub stands in for each generator, so no order here is ever built
+    def stub(*args, **kwargs):
+        raise ValueError("generator reached")
+    for name in ("random_gclass", "clique_chain", "cograph_instance",
+                 "split_instance", "interval_instance"):
+        monkeypatch.setattr(cli, name, stub)
+    out = str(tmp_path / "huge")
+    code, text = run(capsys, ["gen", "--family", family, *size, "--out", out])
+    expected = (f"{family} of order {order} exceeds the limit of {MAX_VERTICES}"
+                if order > MAX_VERTICES else "generator reached")
+    assert (code, text) == (2, f"error: {expected}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["gen", "--family", "cograph", "--out", "{d}/x"], "{d}/x.g"),
+])
+def test_unwritable_output_exit_2(tmp_path, capsys, argv, path):
+    d = str(tmp_path / "no-such-dir")
+    code, out = run(capsys, [a.format(d=d) for a in argv])
+    assert code == 2
+    assert out.startswith(f"error: cannot write {path.format(d=d)}: ")
+    assert out.count("\n") == 1
+
+
 # ---------------------------------------------------------- decompose
 
 def test_decompose_paw(paw_file, capsys):
@@ -447,72 +483,15 @@ def test_oracle_rejects_cap_before_reading(paw_file, capsys, monkeypatch, cap):
     assert out == "error: --cap must be positive\n"
 
 
-# -------------------------------------------------------------- bench
-
-def test_bench_csv_schema_and_bound(tmp_path, capsys):
-    out_file = str(tmp_path / "bench.csv")
-    code = main(["bench", "--family", "clique-chain", "--sizes", "300,600",
-                 "--repetitions", "2", "--out", out_file])
-    capsys.readouterr()
-    assert code == 0
-    lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
-    assert lines[0] == ("schema,family,n,m,rep,wall_time_s,cursor_advances,"
-                        "lm_nb_updates")
-    assert len(lines) == 5
-    for row in lines[1:]:
-        schema, family, n, m, rep, wall, adv, lm = row.split(",")
-        assert schema == "unipm-bench-1"
-        assert int(adv) <= 2 * int(m)
-
-
-def test_bench_gclass_family(capsys):
-    code, out = run(capsys, ["bench", "--family", "gclass", "--sizes", "200",
-                             "--repetitions", "1", "--seed", "5"])
-    assert code == 0
-    assert out.splitlines()[0].startswith("schema,")
-
-
-@pytest.mark.parametrize("argv, path", [
-    (["gen", "--family", "cograph", "--out", "{d}/x"], "{d}/x.g"),
-    (["bench", "--sizes", "30", "--repetitions", "1", "--out", "{d}/b.csv"],
-     "{d}/b.csv"),
-])
-def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, argv, path):
-    def no_run(*args):
-        raise AssertionError("bench ran before its output was opened")
-    monkeypatch.setattr(cli, "bench_rows", no_run)
-    d = str(tmp_path / "no-such-dir")
-    code, out = run(capsys, [a.format(d=d) for a in argv])
-    assert code == 2
-    assert out.startswith(f"error: cannot write {path.format(d=d)}: ")
-    assert out.count("\n") == 1
-
-
-@pytest.mark.parametrize("args, message", [
-    (["--sizes", ""], "--sizes needs one or more positive edge counts"),
-    (["--sizes", "0"], "--sizes needs one or more positive edge counts"),
-    (["--sizes", "-5"], "--sizes needs one or more positive edge counts"),
-    (["--sizes", "300,-5"], "--sizes needs one or more positive edge counts"),
-    (["--repetitions", "0"], "--repetitions must be positive"),
-    (["--sizes", "x"], "--sizes needs one or more positive edge counts"),
-    (["--sizes", "300,4k"], "--sizes needs one or more positive edge counts"),
-])
-def test_bench_rejects_empty_runs(tmp_path, capsys, monkeypatch, args, message):
-    def no_run(*args):
-        raise AssertionError("bench ran on invalid arguments")
-    monkeypatch.setattr(cli, "bench_rows", no_run)
-    out_file = tmp_path / "b.csv"
-    code, out = run(capsys, ["bench", "--out", str(out_file)] + args)
-    assert code == 2
-    assert out == f"error: {message}\n"
-    assert not out_file.exists()
-
-
 # -------------------------------------------------------------- usage
 
 def test_unknown_subcommand_exit_2(capsys):
-    assert main(["frobnicate"]) == 2
-    capsys.readouterr()
+    # the removed bench command fails like any unknown name
+    for command in ("frobnicate", "bench"):
+        assert main([command]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{command}'" in err
+        assert "Traceback" not in err
 
 
 def test_missing_file_exit_2(capsys):

@@ -6,9 +6,10 @@ import pytest
 
 from unipm import (Graph, IntervalRep, clique_chain, cograph_instance,
                    decompose, enumerate_pms, find_claw, interval_instance,
-                   is_connected, is_cograph_bruteforce, is_split_bruteforce,
-                   pmincf, replay, split_balance, split_instance, verify_pm)
+                   is_connected, pmincf, replay, split_instance, verify_pm)
 from unipm.cli import decide
+
+from conftest import is_cograph_bruteforce, is_split_bruteforce, split_balance
 
 
 def test_cograph_instances_are_cographs():

@@ -510,7 +510,7 @@ def _max_matching_size(g):
         u = min(left)
         rest = left - {u}
         return max([best(rest)] + [1 + best(rest - {v})
-                                   for v in g.live_neighbors(u) if v in rest])
+                                   for v in g.adjacency[u] if v in rest])
     return best(frozenset(g.live_vertices()))
 
 
