@@ -4,7 +4,11 @@
 from unipm import Graph, enumerate_pms, find_forcing_set, is_clique
 from unipm.cli import decide
 
-# P4 is bipartite, a path, and elimination walks right through it.
+# P4 is bipartite, a path, and elimination walks right through it.  It
+# takes pendants first in, first out: 0 and 3 are queued at the start,
+# so 3 goes before 2, the pendant that 0's pair leaves; the order is
+# ((0, 1), (3, 2)).  Any order that empties the graph finds the same
+# matching, and an order empties it iff every order does.
 p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 cert = find_forcing_set(p4)
 print("P4 elimination order:", cert.forced)

@@ -23,13 +23,12 @@ import time
 from dataclasses import dataclass
 
 from .clawfree import PmincfStats, pmincf
-from .forcing import find_forcing_set
+from .forcing import _forced_pairs, find_forcing_set
 from .gclass import decompose, format_trace, parse_trace, random_gclass, replay
 from .generators import (clique_chain, cograph_instance, interval_instance,
                          split_instance)
-from .graph import (MAX_VERTICES, Graph, GraphParseError, Matching,
-                    _forced_pairs, find_claw, format_matching, parse_graph,
-                    serialize_graph)
+from .graph import (MAX_VERTICES, Graph, GraphParseError, Matching, find_claw,
+                    format_matching, parse_graph, serialize_graph)
 from .interval import (IntervalPMError, intersection_graph, interval_pm,
                        parse_intervals)
 from .uniqueness import (AlternatingCycleWitness, enumerate_pms, is_unique_pm,

@@ -1,15 +1,18 @@
-"""Forcing-set elimination: iterated degree-1 removal.
+"""Forced pairs: edges that lie in every perfect matching.
 
-Succeeds iff some ordered vertex set forces a unique perfect matching.
-On cographs and split graphs success is equivalent to the graph having
-a unique perfect matching; on arbitrary graphs it is sufficient but not
+``_forced_pairs`` is the package's one elimination of them, the peel
+that ``check``, ``decompose`` and the uniqueness verifier run.  Bounded
+to pendant vertices it is degree-1 forcing (``find_forcing_set``): on
+cographs and split graphs it succeeds iff the graph has a unique
+perfect matching; on arbitrary graphs success is sufficient but not
 necessary.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graph import Graph, Matching
 
@@ -29,42 +32,80 @@ class ForcingCertificate:
 def find_forcing_set(g: Graph) -> ForcingCertificate | None:
     """Certificate iff some set forces a unique perfect matching in g.
 
-    Maintains live degrees and a worklist of degree-1 vertices;
-    repeatedly pops the lowest-id degree-1 vertex u, records (u, its
-    sole neighbor v), removes both, and pushes neighbors whose degree
-    drops to 1.  Succeeds iff the graph empties.  Odd order or a
-    stranded vertex returns None.
+    Runs the peel on pendants only, on a view of g, and records
+    (pendant, its neighbour) in the peel's FIFO order; O(n + m).  Any
+    order succeeds iff this one does: an emptying order proves g's
+    matching unique, so a stalled order's remainder is a union of the
+    matching's pairs, and the emptying order's first pair inside it is
+    a pendant there.  Odd order or a stranded vertex returns None.
     """
-    n = g.n_total
-    adj = g.adjacency
-    alive = [not r for r in g.removed]
-    remaining = g.live_count
-    if remaining % 2:
-        return None
-    deg = [0] * n
-    for u in range(n):
-        if alive[u]:
-            deg[u] = sum(map(alive.__getitem__, adj[u]))
-    heap = [u for u in range(n) if deg[u] == 1]  # removed vertices have 0
-    heapq.heapify(heap)
-    forced: list[tuple[int, int]] = []
-    while heap:
-        u = heapq.heappop(heap)
-        if not alive[u] or deg[u] != 1:
-            continue  # stale entry
-        for v in adj[u]:
-            if alive[v]:
-                break
-        forced.append((u, v))
-        alive[u] = False
-        alive[v] = False
-        remaining -= 2
-        for z in adj[u] + adj[v]:
-            if alive[z]:
-                deg[z] -= 1
-                if deg[z] == 1:
-                    heapq.heappush(heap, z)
-    if remaining != 0:
+    work = g.view()
+    forced = [(y, x) for x, y, _ in _forced_pairs(work, 1)]
+    if work.live_count:
         return None
     return ForcingCertificate(tuple(forced), Matching(forced))
 
+
+def _forced_pairs(g: Graph, bound: int = 2) -> Iterator[tuple[int, int, int]]:
+    """Delete pairs of g that lie in every perfect matching, one at a time.
+
+    A pair x-y is forced when y is a pendant at x, or when x and y are
+    adjacent vertices of live degree 2 whose other neighbours are one
+    vertex u (a pendant triangle: y matched to u would strand x).  The
+    two shapes undo the clique and the simplicial operation of the
+    paper's class.  Each pair is removed from g (run it on a ``view`` to
+    keep g), with exact ``live_count`` and ``edge_count``, and then
+    yielded as (x, y, u), with u == -1 for a pendant and x < y for a
+    triangle; the caller may read g before resuming.  A vertex is queued
+    (FIFO) whenever its live degree drops to ``bound`` or less and its
+    shape is read when it is popped, so it is queued at most three times
+    and the whole peel is O(n + m).  With ``bound`` 1 no vertex of
+    degree 2 is popped, so only pendants are deleted: degree-1 forcing.
+    """
+    adj, dead = g.adjacency, g.removed
+    if True in dead:
+        degree = [0 if d else sum(not dead[w] for w in nbrs)
+                  for nbrs, d in zip(adj, dead)]
+    else:
+        degree = list(map(len, adj))
+    queue = deque(v for v, d in enumerate(degree) if d <= bound and not dead[v])
+    pop, push = queue.popleft, queue.append
+    while queue:
+        v = pop()
+        if dead[v]:
+            continue
+        d = degree[v]
+        nbrs = adj[v]
+        if len(nbrs) != d:  # some neighbour is deleted
+            nbrs = [w for w in nbrs if not dead[w]]
+        if d == 1:
+            x, y, u = nbrs[0], v, -1
+        elif d == 2:
+            a, b = nbrs
+            if degree[a] == 2 and b in adj[a]:
+                u = b
+            elif degree[b] == 2 and a in adj[b]:
+                a, u = b, a
+            else:
+                continue
+            x, y = (v, a) if v < a else (a, v)
+        else:
+            continue
+        dead[x] = dead[y] = True
+        # a pendant y has no live neighbour left, so the pair takes x's
+        # live edges; in a triangle, u was the only other live neighbour
+        # of x and of y
+        if u == -1:
+            g.edge_count -= degree[x]
+            for w in adj[x]:
+                if not dead[w]:
+                    degree[w] -= 1
+                    if degree[w] <= bound:
+                        push(w)
+        else:
+            g.edge_count -= 3
+            degree[u] -= 2
+            if degree[u] <= 2:
+                push(u)
+        g.live_count -= 2
+        yield x, y, u

@@ -16,8 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import (MAX_VERTICES, Graph, _forced_pairs, _non_adjacent_pair,
-                    is_simplicial)
+from .forcing import _forced_pairs
+from .graph import MAX_VERTICES, Graph, _non_adjacent_pair, is_simplicial
 
 
 class OperationError(ValueError):

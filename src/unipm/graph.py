@@ -1,4 +1,5 @@
-"""Mutable undirected simple graphs with lazy vertex removal.
+"""Mutable undirected simple graphs with lazy vertex removal, and the
+generic algorithms on them (parsing, claws, components, bridges).
 
 Vertex ids are dense integers assigned at creation and never reused.
 Removing a vertex flips a flag; adjacency lists are never physically
@@ -8,7 +9,6 @@ across removals (the amortization the greedy matcher depends on).
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -406,68 +406,4 @@ def find_bridges(g: Graph) -> set[tuple[int, int]]:
                     if low[u] > disc[parent]:
                         bridges.add((u, parent) if u < parent else (parent, u))
     return bridges
-
-
-def _forced_pairs(g: Graph) -> Iterator[tuple[int, int, int]]:
-    """Delete pairs of g that lie in every perfect matching, one at a time.
-
-    A pair x-y is forced when y is a pendant at x, or when x and y are
-    adjacent vertices of live degree 2 whose other neighbours are one
-    vertex u (a pendant triangle: y matched to u would strand x).  The
-    two shapes undo the clique and the simplicial operation of the
-    paper's class.  Each pair is removed from g (run it on a ``view`` to
-    keep g), with exact ``live_count`` and ``edge_count``, and then
-    yielded as (x, y, u), with u == -1 for a pendant and x < y for a
-    triangle; the caller may read g before resuming.  A vertex is queued
-    (FIFO) whenever its live degree drops to 2 or less and its shape is
-    read when it is popped, so it is queued at most three times and the
-    whole peel is O(n + m).
-    """
-    adj, dead = g.adjacency, g.removed
-    if True in dead:
-        degree = [0 if d else sum(not dead[w] for w in nbrs)
-                  for nbrs, d in zip(adj, dead)]
-    else:
-        degree = list(map(len, adj))
-    queue = deque(v for v, d in enumerate(degree) if d <= 2 and not dead[v])
-    pop, push = queue.popleft, queue.append
-    while queue:
-        v = pop()
-        if dead[v]:
-            continue
-        d = degree[v]
-        nbrs = adj[v]
-        if len(nbrs) != d:  # some neighbour is deleted
-            nbrs = [w for w in nbrs if not dead[w]]
-        if d == 1:
-            x, y, u = nbrs[0], v, -1
-        elif d == 2:
-            a, b = nbrs
-            if degree[a] == 2 and b in adj[a]:
-                u = b
-            elif degree[b] == 2 and a in adj[b]:
-                a, u = b, a
-            else:
-                continue
-            x, y = (v, a) if v < a else (a, v)
-        else:
-            continue
-        dead[x] = dead[y] = True
-        # a pendant y has no live neighbour left, so the pair takes x's
-        # live edges; in a triangle, u was the only other live neighbour
-        # of x and of y
-        if u == -1:
-            g.edge_count -= degree[x]
-            for w in adj[x]:
-                if not dead[w]:
-                    degree[w] -= 1
-                    if degree[w] <= 2:
-                        push(w)
-        else:
-            g.edge_count -= 3
-            degree[u] -= 2
-            if degree[u] <= 2:
-                push(u)
-        g.live_count -= 2
-        yield x, y, u
 

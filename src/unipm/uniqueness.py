@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .graph import Graph, Matching, _forced_pairs, find_bridges
+from .forcing import _forced_pairs
+from .graph import Graph, Matching, find_bridges
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,8 @@ def enumerate_pms(g: Graph, cap: int) -> list[Matching]:
     Matches the lowest-id unmatched vertex to each live neighbor in
     neighbor-list order, so the output order is deterministic.  Odd
     live order yields the empty list; intended for live_count <= ~16.
+    The search keeps its own stack, so a deep graph (a long path) needs
+    no recursion.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -58,27 +61,34 @@ def enumerate_pms(g: Graph, cap: int) -> list[Matching]:
     unmatched = set(live)
     chosen: list[tuple[int, int]] = []
     found: list[Matching] = []
-
-    def backtrack() -> bool:
-        if not unmatched:
+    # frames[i] is (u, cursor over u's list) for the i-th matched vertex;
+    # chosen[i] is its current pair, absent while the cursor advances
+    frames: list[tuple[int, Iterator[int]]] = []
+    while True:
+        if unmatched:
+            u = min(unmatched)
+            unmatched.discard(u)
+            frames.append((u, iter(g.adjacency[u])))
+        else:
             found.append(Matching(chosen))
-            return len(found) >= cap
-        u = min(unmatched)
-        unmatched.discard(u)
-        for v in g.adjacency[u]:
-            if removed[v] or v not in unmatched:
+            if len(found) >= cap:
+                return found
+        while frames:
+            u, it = frames[-1]
+            if len(chosen) == len(frames):
+                unmatched.add(chosen.pop()[1])
+            for v in it:
+                if not removed[v] and v in unmatched:
+                    unmatched.discard(v)
+                    chosen.append((u, v))
+                    break
+            else:
+                frames.pop()
+                unmatched.add(u)
                 continue
-            unmatched.discard(v)
-            chosen.append((u, v))
-            if backtrack():
-                return True
-            chosen.pop()
-            unmatched.add(v)
-        unmatched.add(u)
-        return False
-
-    backtrack()
-    return found
+            break
+        else:
+            return found
 
 
 def verify_pm(g: Graph, m: Matching) -> bool:

@@ -34,6 +34,9 @@ TWO_FANS_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4),
 # removes nothing, and only the per-pair search finds the alternating cycle
 NEAR_TRIANGLE_EDGES = [(0, 4), (0, 5), (0, 6), (1, 2), (1, 7), (2, 6),
                        (3, 6), (3, 7), (4, 5), (5, 7)]
+# spider on center 4: legs 4-7-0, 4-8-1, 4-9-2, 4-5-6 and the pendant 4-3
+SPIDER_EDGES = [(4, 7), (7, 0), (4, 8), (8, 1), (4, 9), (9, 2), (4, 3),
+                (4, 5), (5, 6)]
 
 
 def g_of(n: int, edges) -> Graph:

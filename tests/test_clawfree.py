@@ -11,7 +11,7 @@ from unipm import (Graph, Matching, PmincfStats, cli, clique_chain,
                    enumerate_pms, find_claw, find_forcing_set, pmincf,
                    random_gclass, uniqueness, verify_pm)
 from unipm.cli import decide
-from unipm.graph import _forced_pairs
+from unipm.forcing import _forced_pairs
 
 from conftest import (C4_EDGES, C6_EDGES, STAR_EDGES, fan_ladder, g_of,
                       iter_connected_edge_sets, mid_chorded_chain,

@@ -15,8 +15,12 @@ from unipm.cli import main
 from unipm.graph import MAX_VERTICES
 
 from conftest import (C4_EDGES, FLOWER_EDGES, NEAR_TRIANGLE_EDGES, PAW_EDGES,
-                      TWO_FANS_EDGES, fan_ladder, g_of, mid_chorded_chain,
-                      random_connected_edge_set)
+                      SPIDER_EDGES, TWO_FANS_EDGES, fan_ladder, g_of,
+                      mid_chorded_chain, random_connected_edge_set)
+
+
+# 1500 nested choices for the oracle's search, one per matched pair
+LONG_PATH = serialize_graph(g_of(3000, [(i, i + 1) for i in range(2999)]))
 
 
 def write(tmp_path, name, content):
@@ -200,7 +204,12 @@ def test_check_same_answer_without_asserts(tmp_path, capsys, make):
     ("replay", "INIT 0 1\nOP1 0 2 3\nOP2 4 5 2 3\n", 0),
     ("replay", "INIT 0 1\nOP1 0 2 3\nOP1 0 4 5\n", 2),
     ("replay", "INIT 0 1\nOP2 2 3\n", 2),
-], ids=["member", "non_member", "trace", "invalid_trace", "malformed_trace"])
+    ("force", serialize_graph(g_of(10, SPIDER_EDGES)), 0),
+    ("force", serialize_graph(g_of(4, C4_EDGES)), 1),
+    ("oracle", LONG_PATH, 0),
+    ("interval", "4\n0 1 10\n1 2 3\n2 4 9\n3 5 6\n", 0),
+], ids=["member", "non_member", "trace", "invalid_trace", "malformed_trace",
+        "force_spider", "force_c4", "oracle_long_path", "interval"])
 def test_class_ops_same_answer_without_asserts(tmp_path, capsys, command,
                                                content, expect):
     assert same_answer_without_asserts(
@@ -471,6 +480,13 @@ def test_oracle_c4_cap(c4_file, capsys):
     assert code == 0
     assert "pm_count: 2" in out
     assert "cap_reached: true" in out
+
+
+def test_oracle_long_path(tmp_path, capsys):
+    # the search must not recurse once per pair
+    code, out = run(capsys, ["oracle", write(tmp_path, "path.g", LONG_PATH)])
+    assert code == 0
+    assert "pm_count: 1\ncap_reached: false\n" in out
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])

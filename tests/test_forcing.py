@@ -1,6 +1,7 @@
 """Forcing-set elimination and the split balance condition."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +11,17 @@ from unipm import (Graph, Matching, enumerate_pms, find_forcing_set,
                    is_unique_pm, serialize_graph)
 from unipm.cli import main
 
-from conftest import (C4_EDGES, FLOWER_EDGES, K4_EDGES, P4_EDGES, PAW_EDGES,
-                      g_of, random_connected_edge_set, split_balance)
+from conftest import (C4_EDGES, K4_EDGES, P4_EDGES, SPIDER_EDGES, g_of,
+                      random_connected_edge_set, split_balance)
 
 
 def test_forcing_p4():
     cert = find_forcing_set(g_of(4, P4_EDGES))
     assert cert is not None
     assert cert.matching == Matching([(0, 1), (2, 3)])
-    assert cert.forced == ((0, 1), (2, 3))  # lowest-id degree-1 pops first
+    # 0 and 3 are queued first; 0's pair drops 2 to degree 1 behind 3's
+    # entry, so 3 pops first (FIFO) and 2's entry goes stale
+    assert cert.forced == ((0, 1), (3, 2))
 
 
 def test_forcing_c4_fails():
@@ -59,13 +62,10 @@ def test_forcing_respects_removal(paw):
     assert find_forcing_set(paw) is None  # odd live order
 
 
-# spider on center 4: legs 4-7-0, 4-8-1, 4-9-2, 4-5-6 and the pendant 4-3.
-# Leaves 0, 1, 2, 3 and 6 are queued at once; matching 3 with 4 drops 5 to
-# degree 1 after 6 was queued, yet 5 pops first (lowest id), and 6's entry
-# goes stale because 6 leaves as 5's partner.
-SPIDER_EDGES = [(4, 7), (7, 0), (4, 8), (8, 1), (4, 9), (9, 2), (4, 3),
-                (4, 5), (5, 6)]
-SPIDER_FORCED = ((0, 7), (1, 8), (2, 9), (3, 4), (5, 6))
+# On the spider, leaves 0, 1, 2, 3 and 6 are queued at once; matching 3
+# with 4 drops 5 to degree 1 and queues it behind 6, so 6 pops first
+# (FIFO), and 5's entry goes stale because 5 leaves as 6's partner.
+SPIDER_FORCED = ((0, 7), (1, 8), (2, 9), (3, 4), (6, 5))
 
 
 def test_forcing_order_pinned():
@@ -82,7 +82,7 @@ def test_force_cli_order_pinned(tmp_path, capsys):
     f.write_text(serialize_graph(g_of(10, SPIDER_EDGES)))
     assert main(["force", str(f)]) == 0
     out = capsys.readouterr().out
-    assert "forcing_order: 0,7 1,8 2,9 3,4 5,6\n" in out
+    assert "forcing_order: 0,7 1,8 2,9 3,4 6,5\n" in out
 
 
 def _replay_certificate(g, cert):
@@ -108,6 +108,49 @@ def test_forcing_sound_and_replayable(n, seed):
     assert len(cert.forced) * 2 == g.live_count
     assert is_unique_pm(g, cert.matching) is None
     _replay_certificate(g, cert)
+
+
+def _random_order_empties(n, edges, rng):
+    """Degree-1 forcing in a random order: match a random pendant to its
+    neighbour and delete both until no pendant is left; True iff no
+    vertex is left."""
+    nbrs = {v: set() for v in range(n)}
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    while True:
+        pendants = sorted(v for v in nbrs if len(nbrs[v]) == 1)
+        if not pendants:
+            return not nbrs
+        v = rng.choice(pendants)
+        for x in (v, *nbrs[v]):
+            for z in nbrs.pop(x):
+                nbrs.get(z, set()).discard(x)
+
+
+def test_forcing_success_does_not_depend_on_order(n8_sample):
+    """On every labeled graph with n <= 6 and the n = 8 sample, the
+    peel's FIFO order succeeds exactly when a seeded random order does.
+    If some order empties G, G has one perfect matching M and every pair
+    a stalled order deleted is in M, so the stalled remainder is G minus
+    some M-pairs, and every live vertex there has its partner and
+    degree at least 2.  The successful order's first step inside that
+    remainder would then need a vertex of degree 1."""
+    rng = random.Random(0x5EED)
+    cases = [(n, [p for i, p in enumerate(combinations(range(n), 2))
+                  if mask >> i & 1])
+             for n in range(7) for mask in range(1 << n * (n - 1) // 2)]
+    cases += [(8, [(u, w) for u in range(8) for w in g.adjacency[u] if u < w])
+              for g, _ in n8_sample]
+    emptied = 0
+    for n, edges in cases:
+        g = g_of(n, edges)
+        cert = find_forcing_set(g)
+        assert (cert is not None) == _random_order_empties(n, edges, rng), edges
+        if cert is not None:
+            _replay_certificate(g, cert)
+            emptied += 1
+    assert 0 < emptied < len(cases)
 
 
 # ------------------------------------------------------------- balance

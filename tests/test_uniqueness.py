@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from unipm import (Graph, Matching, clique_chain, enumerate_pms, find_claw,
                    is_unique_pm, kotzig_peel, maximum_matching, pmincf,
                    random_gclass, uniqueness, verify_pm)
-from unipm.graph import _forced_pairs
+from unipm.forcing import _forced_pairs
 from unipm.uniqueness import _canonical_cycle
 
 from conftest import (C4_EDGES, FLOWER_EDGES, K4_EDGES, NEAR_TRIANGLE_EDGES,
