@@ -1,9 +1,9 @@
 """Unique perfect matchings: verifiers, class-specific linear-time
 deciders, and a constructive characterization of the claw-free case.
 
-``unipm.cli.decide`` combines them into one decision for any graph.  It
-is not imported here, so that ``python -m unipm.cli`` does not load the
-module twice.
+``decide`` combines them into one decision for any graph.  It lives in
+``unipm.cli``, which is imported on first use of ``decide`` or
+``Decision``, so that ``python -m unipm.cli`` loads the module once.
 """
 
 from .graph import (Graph, GraphParseError, Matching, connected_components,
@@ -39,4 +39,12 @@ __all__ = [
     "apply_op1", "apply_op2", "decompose", "format_trace", "parse_trace",
     "random_gclass", "replay",
     "clique_chain", "cograph_instance", "interval_instance", "split_instance",
+    "Decision", "decide",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("Decision", "decide"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

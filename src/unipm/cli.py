@@ -10,14 +10,16 @@ are called through this module's names, so a tracer that wraps them
 sees every layer of a decision.
 
 Exit codes: 0 success / unique, 1 no unique perfect matching, 2 input
-error (an unreadable input or an unwritable output path), 4 internal
-error (a self-check of the program failed; the message names it).
+error (an unreadable input or an unwritable output path, a closed
+stdout included), 4 internal error (a self-check of the program failed;
+the message names it).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -96,6 +98,7 @@ class Decision:
         return self.matching is not None and self.witness is None
 
 
+# Stays in cli: the benchmark's tracer wraps only names cli and gclass look up
 def decide(g: Graph) -> Decision:
     """Decide whether g has a unique perfect matching; any graph will do.
 
@@ -333,7 +336,14 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors, matching our input-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the rest, and the exit-time flush, to
+        # devnull so that nothing is printed about it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     except ValueError as exc:
         _emit("error", str(exc))
         return EXIT_INPUT

@@ -54,12 +54,12 @@ def _forced_pairs(g: Graph, bound: int = 2) -> Iterator[tuple[int, int, int]]:
     vertex u (a pendant triangle: y matched to u would strand x).  The
     two shapes undo the clique and the simplicial operation of the
     paper's class.  Each pair is removed from g (run it on a ``view`` to
-    keep g), with exact ``live_count`` and ``edge_count``, and then
-    yielded as (x, y, u), with u == -1 for a pendant and x < y for a
-    triangle; the caller may read g before resuming.  A vertex is queued
-    (FIFO) whenever its live degree drops to ``bound`` or less and its
-    shape is read when it is popped, so it is queued at most three times
-    and the whole peel is O(n + m).  With ``bound`` 1 no vertex of
+    keep g) by setting its two removal flags, and then yielded as
+    (x, y, u), with u == -1 for a pendant and x < y for a triangle; the
+    caller may read g before resuming.  A vertex is queued (FIFO)
+    whenever its live degree drops to ``bound`` or less and its shape is
+    read when it is popped, so it is queued at most three times and the
+    whole peel is O(n + m).  With ``bound`` 1 no vertex of
     degree 2 is popped, so only pendants are deleted: degree-1 forcing.
     """
     adj, dead = g.adjacency, g.removed
@@ -92,20 +92,14 @@ def _forced_pairs(g: Graph, bound: int = 2) -> Iterator[tuple[int, int, int]]:
         else:
             continue
         dead[x] = dead[y] = True
-        # a pendant y has no live neighbour left, so the pair takes x's
-        # live edges; in a triangle, u was the only other live neighbour
-        # of x and of y
         if u == -1:
-            g.edge_count -= degree[x]
             for w in adj[x]:
                 if not dead[w]:
                     degree[w] -= 1
                     if degree[w] <= bound:
                         push(w)
         else:
-            g.edge_count -= 3
             degree[u] -= 2
             if degree[u] <= 2:
                 push(u)
-        g.live_count -= 2
         yield x, y, u

@@ -165,14 +165,12 @@ def _attach(g: Graph, step: Op1Step | Op2Step) -> None:
         adj[x] += (y, u)
         adj[y] += (x, u)
         adj[u] += (x, y)
-        g.edge_count += 3
     else:
         adj[x].append(y)
         adj[x] += step.clique
         adj[y].append(x)
         for c in step.clique:
             adj[c].append(x)
-        g.edge_count += 1 + len(step.clique)
 
 
 class _RandomAccessSet:
@@ -326,7 +324,6 @@ def replay(trace: ConstructionTrace) -> Graph:
                 raise OperationError(f"step {i}: {reason}")
         _attach(g, step)
         removed[step.x] = removed[step.y] = False
-    g.live_count = len(mentioned)
     return g
 
 
@@ -350,11 +347,14 @@ def decompose(g: Graph) -> ConstructionTrace | None:
     # the peel finds them in does not matter.
     # The peel deletes only the pairs it yields, so u and the clique are
     # live, and the clique, read from x's list, has no repeats.
+    live = g.live_count
+    if live % 2:
+        return None
     work = g.view()
     adj, removed = work.adjacency, work.removed
     steps: list[Step] = []
-    for x, y, u in _forced_pairs(work):
-        if not work.live_count:
+    for i, (x, y, u) in enumerate(_forced_pairs(work)):
+        if i == live // 2 - 1:  # the peel has emptied the graph
             steps.append(InitStep(min(x, y), max(x, y)))
             steps.reverse()
             return ConstructionTrace(tuple(steps))

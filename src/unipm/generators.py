@@ -114,5 +114,4 @@ def clique_chain(k: int) -> tuple[Graph, ConstructionTrace]:
         ax.append(y)
         adj[y].append(x)
         steps.append(Op2Step((px, py), x, y))
-    g.edge_count = 3 * k + 1
     return g, ConstructionTrace(tuple(steps))

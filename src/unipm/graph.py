@@ -9,7 +9,8 @@ across removals (the amortization the greedy matcher depends on).
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
+from operator import not_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -28,21 +29,36 @@ class Graph:
     """Undirected simple graph over dense vertex ids [0, n_total).
 
     Adjacency lists keep neighbors in insertion order and may mention
-    removed vertices; liveness is a parallel flag array.  ``edge_count``
-    always counts live edges only.
+    removed vertices; liveness is a parallel flag array, the only record
+    of a removal.  ``live_count`` and ``edge_count`` are counted from the
+    two, so a flag set by hand counts like ``remove_vertex``.
     """
 
-    __slots__ = ("adjacency", "removed", "live_count", "edge_count")
+    __slots__ = ("adjacency", "removed")
 
     def __init__(self, n: int = 0):
         self.adjacency: list[list[int]] = [[] for _ in range(n)]
         self.removed: list[bool] = [False] * n
-        self.live_count = n
-        self.edge_count = 0
 
     @property
     def n_total(self) -> int:
         return len(self.adjacency)
+
+    @property
+    def live_count(self) -> int:
+        """Live vertices; O(n), so read it once per call or pass, never
+        once per step."""
+        return self.removed.count(False)
+
+    @property
+    def edge_count(self) -> int:
+        """Live edges; O(n) plus the live vertices' list lengths, so read
+        it once per call or pass, never once per step."""
+        adj, removed = self.adjacency, self.removed
+        if self.live_count == len(adj):
+            return sum(map(len, adj)) >> 1
+        live = compress(adj, map(not_, removed))
+        return sum(not removed[w] for nbrs in live for w in nbrs) >> 1
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -60,17 +76,14 @@ class Graph:
                 seen.add(key)
                 adj[u].append(v)
                 adj[v].append(u)
-        g.edge_count = len(seen)
         return g
 
     def view(self) -> "Graph":
         """A graph over the same adjacency lists with its own removal
-        flags and counts: removing a vertex from it never reaches self."""
+        flags: removing a vertex from it never reaches self."""
         g = Graph(0)
         g.adjacency = self.adjacency
         g.removed = list(self.removed)
-        g.live_count = self.live_count
-        g.edge_count = self.edge_count
         return g
 
     def copy(self) -> "Graph":
@@ -82,7 +95,6 @@ class Graph:
         """Append a fresh live vertex and return its id."""
         self.adjacency.append([])
         self.removed.append(False)
-        self.live_count += 1
         return len(self.adjacency) - 1
 
     def add_edge(self, u: int, v: int) -> None:
@@ -94,15 +106,11 @@ class Graph:
             raise ValueError(f"duplicate edge {u}-{v}")
         self.adjacency[u].append(v)
         self.adjacency[v].append(u)
-        self.edge_count += 1
 
     def remove_vertex(self, u: int) -> None:
         if self.removed[u]:
             raise ValueError(f"vertex {u} already removed")
-        removed = self.removed
-        self.edge_count -= sum(1 for w in self.adjacency[u] if not removed[w])
-        removed[u] = True
-        self.live_count -= 1
+        self.removed[u] = True
 
     def is_live(self, u: int) -> bool:
         return 0 <= u < len(self.adjacency) and not self.removed[u]
@@ -134,17 +142,12 @@ class Graph:
         return out
 
     def check_symmetry(self) -> None:
-        """Debug invariant: adjacency is symmetric, simple, counts agree."""
-        m = 0
+        """Debug invariant: adjacency is symmetric and simple."""
         for u, nbrs in enumerate(self.adjacency):
             assert u not in nbrs, f"self-loop at {u}"
             assert len(set(nbrs)) == len(nbrs), f"duplicate neighbor at {u}"
             for w in nbrs:
                 assert u in self.adjacency[w], f"asymmetric edge {u}-{w}"
-                if not self.removed[u] and not self.removed[w] and u < w:
-                    m += 1
-        assert m == self.edge_count, "edge_count out of sync"
-        assert self.live_count == sum(1 for r in self.removed if not r)
 
     def __repr__(self) -> str:
         return (f"Graph(n={self.n_total}, live={self.live_count}, "
@@ -257,7 +260,6 @@ def parse_graph(text: str) -> Graph:
             adj[v].append(u)
     if edges_read != m:
         raise GraphParseError(f"expected {m} edges, found {edges_read}")
-    g.edge_count = len(seen)
     return g
 
 

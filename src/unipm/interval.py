@@ -114,7 +114,6 @@ def intersection_graph(rep: IntervalRep) -> Graph:
     order = sorted(range(n), key=lambda v: intervals[v][0])
     g = Graph(n)
     adj = g.adjacency
-    m = 0
     active: list[tuple[int, int]] = []  # (r, vertex) heap
     # each pair meets once, when the later-starting vertex is reached,
     # so the edges are distinct and need no dedupe
@@ -126,9 +125,7 @@ def intersection_graph(rep: IntervalRep) -> Graph:
         for _, w in active:
             adj_v.append(w)
             adj[w].append(v)
-        m += len(active)
         heapq.heappush(active, (r, v))
-    g.edge_count = m
     return g
 
 

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipm import (Graph, Matching, PmincfStats, cli, clique_chain,
+from unipm import (Graph, Matching, PmincfStats, cli, clique_chain, decide,
                    enumerate_pms, find_claw, find_forcing_set, pmincf,
                    random_gclass, uniqueness, verify_pm)
-from unipm.cli import decide
 from unipm.forcing import _forced_pairs
 
 from conftest import (C4_EDGES, C6_EDGES, STAR_EDGES, fan_ladder, g_of,

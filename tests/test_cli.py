@@ -8,9 +8,9 @@ import sys
 import pytest
 
 import unipm
-from unipm import (GraphParseError, cli, enumerate_pms, find_claw,
-                   format_matching, gclass, graph, parse_graph, parse_trace,
-                   random_gclass, replay, serialize_graph)
+from unipm import (GraphParseError, clique_chain, cli, enumerate_pms,
+                   find_claw, format_matching, gclass, graph, parse_graph,
+                   parse_trace, random_gclass, replay, serialize_graph)
 from unipm.cli import main
 from unipm.graph import MAX_VERTICES
 
@@ -42,6 +42,12 @@ def c4_file(tmp_path):
 def run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
+
+
+def child_env():
+    """The environment for a child process that imports this unipm."""
+    return dict(os.environ,
+                PYTHONPATH=os.path.dirname(os.path.dirname(unipm.__file__)))
 
 
 # ------------------------------------------------------------------ check
@@ -219,10 +225,9 @@ def test_class_ops_same_answer_without_asserts(tmp_path, capsys, command,
 def same_answer_without_asserts(capsys, argv):
     # python -O strips every assert, so no answer may rest on one
     code, out = run(capsys, argv)
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(unipm.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-m", "unipm.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=60)
 
     def answer(text):
         return [ln for ln in text.splitlines() if not ln.startswith("elapsed_s:")]
@@ -508,6 +513,21 @@ def test_unknown_subcommand_exit_2(capsys):
         err = capsys.readouterr().err
         assert f"invalid choice: '{command}'" in err
         assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_2_quietly(tmp_path):
+    # over 1 MB of matching cannot all sit in the pipe, so writes fail
+    # once the reader has closed its end
+    path = write(tmp_path, "chain.g", serialize_graph(clique_chain(100_000)[0]))
+    proc = subprocess.Popen([sys.executable, "-m", "unipm.cli", "check", path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=child_env())
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == ""  # no traceback, no "Exception ignored" at exit
 
 
 def test_missing_file_exit_2(capsys):

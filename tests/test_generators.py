@@ -5,9 +5,9 @@ import sys
 import pytest
 
 from unipm import (Graph, IntervalRep, clique_chain, cograph_instance,
-                   decompose, enumerate_pms, find_claw, interval_instance,
-                   is_connected, pmincf, replay, split_instance, verify_pm)
-from unipm.cli import decide
+                   decide, decompose, enumerate_pms, find_claw,
+                   interval_instance, is_connected, pmincf, replay,
+                   split_instance, verify_pm)
 
 from conftest import is_cograph_bruteforce, is_split_bruteforce, split_balance
 

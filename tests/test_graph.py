@@ -232,7 +232,6 @@ def _bridges_definitional(g):
         h = g.copy()
         h.adjacency[u] = [w for w in h.adjacency[u] if w != v]
         h.adjacency[v] = [w for w in h.adjacency[v] if w != u]
-        h.edge_count -= 1
         before = len([c for c in _comps(g)])
         after = len([c for c in _comps(h)])
         if after > before:
