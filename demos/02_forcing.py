@@ -1,8 +1,7 @@
 # Forcing-set elimination: the linear-time decision for cographs and
 # split graphs, and where it stops working.
 
-from unipm import Graph, enumerate_pms, find_forcing_set, is_clique
-from unipm.cli import decide
+from unipm import Graph, decide, enumerate_pms, find_forcing_set, is_clique
 
 # P4 is bipartite, a path, and elimination walks right through it.  It
 # takes pendants first in, first out: 0 and 3 are queued at the start,

@@ -25,8 +25,8 @@ m = interval_pm(c4ish)
 w = is_unique_pm(intersection_graph(c4ish), m)
 print("\nC4-like rep returned", m.pairs, "but witness:", w.cycle)
 
-# Or it gets stuck, which also certifies non-uniqueness (a unique
-# matching would have forced progress).
+# Or it gets stuck, which proves there is no perfect matching: the
+# sweep builds a maximum matching, and the stuck vertex is exposed in it.
 try:
     interval_pm(IntervalRep(((1, 2), (3, 4))))
 except IntervalPMError as exc:

@@ -4,9 +4,8 @@
 
 import time
 
-from unipm import (Graph, PmincfStats, clique_chain, find_claw, pmincf,
-                   random_gclass, verify_pm)
-from unipm.cli import decide
+from unipm import (Graph, PmincfStats, clique_chain, decide, find_claw,
+                   pmincf, random_gclass, verify_pm)
 
 paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
 print("paw is claw-free:", find_claw(paw) is None)

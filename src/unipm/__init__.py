@@ -1,9 +1,9 @@
 """Unique perfect matchings: verifiers, class-specific linear-time
 deciders, and a constructive characterization of the claw-free case.
 
-``decide`` combines them into one decision for any graph.  It lives in
-``unipm.cli``, which is imported on first use of ``decide`` or
-``Decision``, so that ``python -m unipm.cli`` loads the module once.
+``decide`` (in ``unipm.decision``) combines them into one decision for
+any graph, with or without an interval representation; ``unipm.cli``
+is its command-line front end.
 """
 
 from .graph import (Graph, GraphParseError, Matching, connected_components,
@@ -21,6 +21,7 @@ from .gclass import (ConstructionTrace, InitStep, Op1Step, Op2Step,
                      format_trace, parse_trace, random_gclass, replay)
 from .generators import (clique_chain, cograph_instance, interval_instance,
                          split_instance)
+from .decision import Decision, decide
 
 __version__ = "0.1.0"
 
@@ -42,9 +43,3 @@ __all__ = [
     "Decision", "decide",
 ]
 
-
-def __getattr__(name: str):
-    if name in ("Decision", "decide"):
-        from . import cli
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -51,8 +51,10 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
     n = len(adj)
     removed = bytearray(g.removed)
     # cursors step over dead entries too, so the advances are bounded by
-    # the list lengths of the live vertices: 2m when none is removed
-    bound = 2 * g.edge_count if live == n else sum(
+    # the list lengths of the live vertices: 2m when none is removed.
+    # The edge count is O(n), so it is read once, and only if needed.
+    edges = g.edge_count if live == n or stats is not None else 0
+    bound = 2 * edges if live == n else sum(
         len(adj[u]) for u in range(n) if not removed[u])
     cursor = [0] * n
     pos = [-1] * n
@@ -166,7 +168,7 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
             stats.lm_nb_updates += lm_updates
             stats.reseeds += reseeds
             stats.commits += len(pairs)
-            stats.edge_count += g.edge_count
+            stats.edge_count += edges
     if advances > bound:
         raise RuntimeError("cursor advances exceed the live list lengths")
     return Matching(pairs)

@@ -1,13 +1,5 @@
-"""Command-line front end: unique-perfect-matching tools.
-
-``decide`` is the one uniqueness decision behind ``unipm check`` and
-the library: one forced-pair peel on a view of the graph, then, on what
-it leaves, the greedy claw-free matcher, and Edmonds' maximum matching
-when the greedy matcher fails or the verifier rejects its output.
-Edmonds' search answers every graph with no perfect matching; the
-uniqueness verifier settles every matching the two find.  The layers
-are called through this module's names, so a tracer that wraps them
-sees every layer of a decision.
+"""Command-line front end: unique-perfect-matching tools.  ``check``
+and ``interval`` print the answer of ``unipm.decision.decide``.
 
 Exit codes: 0 success / unique, 1 no unique perfect matching, 2 input
 error (an unreadable input or an unwritable output path, a closed
@@ -22,19 +14,17 @@ import contextlib
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .clawfree import PmincfStats, pmincf
-from .forcing import _forced_pairs, find_forcing_set
+from .decision import decide
+from .forcing import find_forcing_set
 from .gclass import decompose, format_trace, parse_trace, random_gclass, replay
 from .generators import (clique_chain, cograph_instance, interval_instance,
                          split_instance)
-from .graph import (MAX_VERTICES, Graph, GraphParseError, Matching, find_claw,
+from .graph import (MAX_VERTICES, Graph, GraphParseError, find_claw,
                     format_matching, parse_graph, serialize_graph)
-from .interval import (IntervalPMError, intersection_graph, interval_pm,
-                       parse_intervals)
-from .uniqueness import (AlternatingCycleWitness, enumerate_pms, is_unique_pm,
-                         maximum_matching)
+from .interval import IntervalRep, intersection_graph, parse_intervals
+from .uniqueness import enumerate_pms
 
 EXIT_OK = 0
 EXIT_NOT_UNIQUE = 1
@@ -76,60 +66,13 @@ def _header(algorithm: str, path: str, g: Graph) -> None:
     _emit("m", g.edge_count)
 
 
-@dataclass(frozen=True)
-class Decision:
-    """Whether a graph has a unique perfect matching, and the proof.
-
-    ``method`` names what found the matching, or showed there is none:
-    ``forcing`` (the forced-pair peel emptied the graph), ``clawfree``
-    (the greedy matcher), ``edmonds`` or ``interval``.  ``matching`` is
-    a perfect matching, or None when ``reason`` says why there is none;
-    ``witness`` is an alternating cycle through it when it is not the
-    only one.
-    """
-
-    method: str
-    matching: Matching | None = None
-    witness: AlternatingCycleWitness | None = None
-    reason: str | None = None
-
-    @property
-    def unique(self) -> bool:
-        return self.matching is not None and self.witness is None
-
-
-# Stays in cli: the benchmark's tracer wraps only names cli and gclass look up
-def decide(g: Graph) -> Decision:
-    """Decide whether g has a unique perfect matching; any graph will do.
-
-    One forced-pair peel runs on a view of g; each pair it deletes lies
-    in every perfect matching, so it settles g when it empties it (as it
-    does every graph degree-1 forcing empties and every class member).
-    Later stages see only what it leaves, ``rest``: the greedy claw-free
-    matcher runs without a claw check (a ValueError or an invalid result
-    only means it does not apply), and Edmonds' maximum matching takes
-    over when it fails; one that is not perfect means g has none.  The
-    peeled pairs plus rest's matching are g's matching, and a witness
-    cycle the verifier finds in rest alternates with it in g.
-    """
-    rest = g.view()
-    pairs = [(x, y) for x, y, _ in _forced_pairs(rest)]
-    if not rest.live_count:
-        return Decision("forcing", Matching(pairs))
-    try:
-        # is_unique_pm raises ValueError on a matching that is not perfect
-        method, m = "clawfree", pmincf(rest)
-        witness = is_unique_pm(rest, m)
-    except ValueError:
-        method, m = "edmonds", maximum_matching(rest)
-        if 2 * len(m) < rest.live_count:
-            return Decision(method, reason="no perfect matching")
-        witness = is_unique_pm(rest, m)
-    return Decision(method, Matching(pairs + m.pairs), witness)
-
-
-def _verdict(d: Decision, start: float) -> int:
-    """Print a decision and the time since start; return the exit code."""
+def _verdict(command: str, path: str, g: Graph,
+             rep: IntervalRep | None = None) -> int:
+    """Decide g, printing the header, the decision and the time it
+    took; return the exit code."""
+    _header(command, path, g)
+    start = time.perf_counter()
+    d = decide(g, rep)
     _emit("method", d.method)
     _emit("verdict", "unique" if d.unique else "not-unique")
     if d.reason is not None:
@@ -143,10 +86,7 @@ def _verdict(d: Decision, start: float) -> int:
 
 
 def _cmd_check(args) -> int:
-    g = _load_graph(args.file)
-    _header("check", args.file, g)
-    start = time.perf_counter()
-    return _verdict(decide(g), start)
+    return _verdict("check", args.file, _load_graph(args.file))
 
 
 def _cmd_force(args) -> int:
@@ -164,15 +104,7 @@ def _cmd_force(args) -> int:
 
 def _cmd_interval(args) -> int:
     rep = parse_intervals(_read_file(args.file))
-    g = intersection_graph(rep)
-    _header("interval", args.file, g)
-    start = time.perf_counter()
-    try:
-        m = interval_pm(rep)
-        d = Decision("interval", m, is_unique_pm(g, m))
-    except IntervalPMError as exc:
-        d = Decision("interval", reason=str(exc))
-    return _verdict(d, start)
+    return _verdict("interval", args.file, intersection_graph(rep), rep)
 
 
 def _cmd_clawfree(args) -> int:
@@ -285,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_force)
 
-    p = sub.add_parser("interval", help="interval-representation matching")
+    p = sub.add_parser("interval", help="decide uniqueness from intervals")
     p.add_argument("file")
     p.set_defaults(func=_cmd_interval)
 

@@ -199,12 +199,6 @@ class _RandomAccessSet:
     def choice(self, rng: random.Random):
         return self.items[rng.randrange(len(self.items))]
 
-    def __len__(self):
-        return len(self.items)
-
-    def __contains__(self, v):
-        return v in self.index
-
 
 def _sample_op2_clique(g: Graph, rng: random.Random) -> tuple[int, ...] | None:
     """Grow a random clique of at most 6 vertices from a pool of common

@@ -1,15 +1,16 @@
-"""Interval representations and the min-right-endpoint matching rule.
+"""Interval representations and the min-right-endpoint matching sweep.
 
-Given intervals with globally distinct endpoints whose intersection
-graph has a unique perfect matching, repeatedly matching the unmatched
-vertex of minimum right endpoint to its unmatched neighbor of minimum
-right endpoint recovers exactly that matching.
+Given intervals with globally distinct endpoints, repeatedly matching
+the unmatched vertex of minimum right endpoint to its unmatched
+neighbor of minimum right endpoint builds a maximum matching of their
+intersection graph, so it finds a perfect matching iff one exists.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graph import Graph, Matching
 
@@ -19,7 +20,7 @@ class IntervalParseError(ValueError):
 
 
 class IntervalPMError(ValueError):
-    """The matching sweep cannot proceed (odd order or stuck vertex)."""
+    """The sweep found no perfect matching, so there is none."""
 
 
 @dataclass(frozen=True)
@@ -129,29 +130,38 @@ def intersection_graph(rep: IntervalRep) -> Graph:
     return g
 
 
-def interval_pm(rep: IntervalRep) -> Matching:
-    """The matching forced by the min-right-endpoint rule.
+def interval_pm(rep: IntervalRep,
+                removed: Sequence[bool] | None = None) -> Matching:
+    """A perfect matching of the intervals not flagged in ``removed``.
 
-    Repeats on the unmatched set: u* = unmatched vertex with minimum r;
-    v* = unmatched neighbor of u* with minimum r; match them.  If the
-    intersection graph has a unique perfect matching the result is
-    exactly that matching; otherwise it either raises IntervalPMError
-    or returns some matching the caller must verify.
+    Repeats on the unmatched set: u = unmatched vertex with minimum r;
+    v = unmatched neighbor of u with minimum r; match them.  Raises
+    IntervalPMError (odd order, or u has no unmatched neighbor) exactly
+    when their intersection graph H has no perfect matching.  Exchange
+    argument: every unmatched neighbor w of u contains the point r_u
+    (l_w < r_u < r_w), and every vertex x that meets v ends after r_u and
+    starts before r_v <= r_w, so x meets w.  So a maximum matching of H
+    holding u-w and v-x can trade them for u-v and w-x, and one leaving
+    u or v exposed can trade the other's pair for u-v: some maximum
+    matching holds u-v.  By induction on H - u - v the sweep builds a
+    maximum matching, and a stuck u is exposed in it.
 
-    u* is the next unmatched vertex in r order; since the thresholds
-    r_{u*} increase, one l-sorted scan feeds the lazy-deletion heap
-    (keyed by r) that yields v*.  O(n log n): two sorts and one heap.
+    u is the next unmatched vertex in r order; since the thresholds r_u
+    increase, one l-sorted scan feeds the lazy-deletion heap (keyed by
+    r) that yields v.  O(n log n): two sorts and one heap.
     """
-    n = rep.n
+    intervals = rep.intervals
+    live = (range(rep.n) if removed is None
+            else [v for v, dead in enumerate(removed) if not dead])
+    n = len(live)
     if n % 2:
         raise IntervalPMError("odd order")
-    intervals = rep.intervals
-    by_l = sorted(range(n), key=lambda v: intervals[v][0])
+    by_l = sorted(live, key=lambda v: intervals[v][0])
     active: list[tuple[int, int]] = []
-    matched = [False] * n
+    matched = [False] * rep.n
     li = 0
     pairs = []
-    for u in sorted(range(n), key=lambda v: intervals[v][1]):
+    for u in sorted(live, key=lambda v: intervals[v][1]):
         if matched[u]:
             continue
         matched[u] = True
@@ -160,14 +170,11 @@ def interval_pm(rep: IntervalRep) -> Matching:
             w = by_l[li]
             heapq.heappush(active, (intervals[w][1], w))
             li += 1
-        v = None
-        while active:
-            _, cand = heapq.heappop(active)
-            if not matched[cand]:
-                v = cand
-                break
-        if v is None:
+        while active and matched[active[0][1]]:
+            heapq.heappop(active)
+        if not active:
             raise IntervalPMError(f"stuck at vertex {u}")
+        v = heapq.heappop(active)[1]
         matched[v] = True
         pairs.append((u, v))
     return Matching(pairs)

@@ -31,16 +31,9 @@ class AlternatingCycleWitness:
 
     def swapped(self, m: Matching) -> Matching:
         """The second perfect matching obtained by swapping along the cycle."""
-        pairs = {p for p in m.pairs}
-        verts = self.cycle
-        for i in range(len(verts) - 1):
-            a, b = verts[i], verts[i + 1]
-            key = (a, b) if a < b else (b, a)
-            if key in pairs:
-                pairs.discard(key)
-            else:
-                pairs.add(key)
-        return Matching(pairs)
+        c = self.cycle
+        edges = {(a, b) if a < b else (b, a) for a, b in zip(c, c[1:])}
+        return Matching(set(m.pairs) ^ edges)
 
 
 def enumerate_pms(g: Graph, cap: int) -> list[Matching]:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipm import (Graph, Matching, PmincfStats, cli, clique_chain, decide,
-                   enumerate_pms, find_claw, find_forcing_set, pmincf,
-                   random_gclass, uniqueness, verify_pm)
+from unipm import (Graph, Matching, PmincfStats, clique_chain, decide,
+                   decision, enumerate_pms, find_claw, find_forcing_set,
+                   pmincf, random_gclass, uniqueness, verify_pm)
 from unipm.forcing import _forced_pairs
 
 from conftest import (C4_EDGES, C6_EDGES, STAR_EDGES, fan_ladder, g_of,
@@ -170,7 +170,8 @@ def test_decide_odd_order_none():
 
 def test_decide_discards_an_invalid_greedy_matching(monkeypatch):
     # verify_pm guards the greedy matcher's output; Edmonds takes over
-    monkeypatch.setattr(cli, "pmincf", lambda g: Matching([(0, 2), (1, 3)]))
+    monkeypatch.setattr(decision, "pmincf",
+                        lambda g: Matching([(0, 2), (1, 3)]))
     d = decide(g_of(4, C4_EDGES))
     assert d.method == "edmonds" and d.witness is not None
 
@@ -181,7 +182,7 @@ def test_decide_class_members_by_the_peel_alone(monkeypatch):
     def later_stage(*args):
         raise AssertionError("a stage after the peel ran on a class member")
     for name in ("pmincf", "maximum_matching", "is_unique_pm"):
-        monkeypatch.setattr(cli, name, later_stage)
+        monkeypatch.setattr(decision, name, later_stage)
     rng = random.Random(0x14)
     members = [random_gclass(rng.randint(0, 255), op2_bias=rng.random(),
                              seed=seed) for seed in range(40)]
@@ -227,7 +228,7 @@ def test_decide_peels_once(monkeypatch, make, unique):
             passes[-1].append(pair)
             yield pair
 
-    monkeypatch.setattr(cli, "pmincf", matcher)
+    monkeypatch.setattr(decision, "pmincf", matcher)
     monkeypatch.setattr(uniqueness, "_forced_pairs", recording)
     d = decide(g)
     assert matched == [(rest.live_count, rest.live_count)]

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import unipm
-from unipm import (GraphParseError, clique_chain, cli, enumerate_pms,
+from unipm import (GraphParseError, clique_chain, cli, decision, enumerate_pms,
                    find_claw, format_matching, gclass, graph, parse_graph,
                    parse_trace, random_gclass, replay, serialize_graph)
 from unipm.cli import main
@@ -183,7 +183,7 @@ def test_check_internal_error_exit_4(c4_file, capsys, monkeypatch):
     # error line and the internal-error code, no traceback
     def stalled(g, m):
         raise RuntimeError("verifier self-check failed")
-    monkeypatch.setattr(cli, "is_unique_pm", stalled)
+    monkeypatch.setattr(decision, "is_unique_pm", stalled)
     code, out = run(capsys, ["check", c4_file])
     assert code == cli.EXIT_INTERNAL == 4
     assert out.count("error:") == 1
@@ -297,12 +297,14 @@ def test_interval_not_unique(tmp_path, capsys):
 
 
 def test_interval_stuck_reason(tmp_path, capsys):
-    # two disjoint intervals: the sweep finds no partner for vertex 0
+    # two disjoint intervals: the sweep finds no partner for vertex 0,
+    # which proves there is no perfect matching
     f = write(tmp_path, "iv.iv", "2\n0 1 2\n1 3 4\n")
     code, out = run(capsys, ["interval", f])
     assert code == 1
+    assert "method: interval" in out
     assert "verdict: not-unique" in out
-    assert "reason: stuck at vertex 0" in out
+    assert "reason: no perfect matching" in out
     assert "witness:" not in out
 
 

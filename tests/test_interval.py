@@ -1,15 +1,17 @@
 """Interval parsing, intersection graphs, and the matching sweep."""
 
 import heapq
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unipm import (Graph, IntervalParseError, IntervalPMError, IntervalRep,
-                   Matching, enumerate_pms, intersection_graph, interval_pm,
-                   interval_instance, maximum_matching, normalize_endpoints,
-                   parse_intervals, verify_pm)
+                   Matching, decide, enumerate_pms, intersection_graph,
+                   interval_pm, interval_instance, maximum_matching,
+                   normalize_endpoints, parse_intervals, verify_pm)
+from unipm.forcing import _forced_pairs
 
 NESTED_REP = IntervalRep(((1, 10), (2, 3), (4, 9), (5, 6)))
 
@@ -187,7 +189,93 @@ def test_step_invariant_on_unique_instances():
             remaining = remaining[2:]
 
 
-# ----------------------------------------------------------- normalization
+def test_interval_pm_sweeps_only_live_vertices():
+    # with 1 and 2 flagged, 0 and 3 are disjoint; with 0 and 3, 1-2 remain
+    rep = IntervalRep(((1, 4), (3, 6), (5, 8), (7, 10)))
+    with pytest.raises(IntervalPMError, match="stuck at vertex 0"):
+        interval_pm(rep, [False, True, True, False])
+    assert interval_pm(rep, [True, False, False, True]) == Matching([(1, 2)])
+    with pytest.raises(IntervalPMError, match="odd order"):
+        interval_pm(rep, [True, False, False, False])
+
+
+# ------------------------------------------------- left-order vectors
+
+def left_order_rep(a) -> IntervalRep:
+    """Vertex i meets every j with i < j <= i + a[i], and no later one:
+    the intervals [100 i, 100 (i + a_i) + 1 + i], with distinct ends."""
+    return IntervalRep(tuple((100 * i, 100 * (i + d) + 1 + i)
+                             for i, d in enumerate(a)))
+
+
+def test_counterexample_unique_but_unpeeled():
+    # a unique interval graph with no pendant and no pendant triangle:
+    # the peel deletes nothing, so the sweep runs on all 10 vertices
+    rep = left_order_rep((2, 2, 2, 2, 0, 3, 1, 2, 1, 0))
+    g = intersection_graph(rep)
+    assert g.live_edges() == [
+        (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5),
+        (5, 6), (5, 7), (5, 8), (6, 7), (7, 8), (7, 9), (8, 9)]
+    work = g.view()
+    assert list(_forced_pairs(work)) == [] and work.live_count == 10
+    expected = Matching([(0, 1), (2, 4), (3, 5), (6, 7), (8, 9)])
+    assert enumerate_pms(g, 2) == [expected]
+    d = decide(g)
+    assert (d.method, d.unique, d.matching) == ("clawfree", True, expected)
+    d = decide(g, rep)
+    assert (d.method, d.unique, d.matching) == ("interval", True, expected)
+    assert d.reason is None
+
+
+def test_decide_sweeps_only_the_live_vertices():
+    # the counterexample with an 11th interval meeting only vertex 9,
+    # flagged removed: the sweep must leave it out, as the peel does
+    rep = left_order_rep((2, 2, 2, 2, 0, 3, 1, 2, 1, 1, 0))
+    g = intersection_graph(rep)
+    assert g.has_edge(9, 10)
+    g.remove_vertex(10)
+    d = decide(g, rep)
+    assert (d.method, d.unique) == ("interval", True)
+    assert d.matching == Matching([(0, 1), (2, 4), (3, 5), (6, 7), (8, 9)])
+
+
+def test_decide_refuses_a_representation_of_another_order():
+    rep = left_order_rep((1, 0))
+    with pytest.raises(ValueError, match="2 intervals for a graph on 3"):
+        decide(Graph(3), rep)
+
+
+def test_every_interval_graph_up_to_8_vertices():
+    """Every interval graph on 1..8 vertices, as a left-order vector a
+    with 0 <= a_i <= n - 1 - i (n! of them for each n): decide with and
+    without the representation agrees with the oracle, and the sweep
+    fails exactly on the graphs with no perfect matching, so Edmonds'
+    search never runs beside it."""
+    graphs = unique = 0
+    for n in range(1, 9):
+        for a in product(*(range(n - i) for i in range(n))):
+            rep = left_order_rep(a)
+            g = intersection_graph(rep)
+            pms = enumerate_pms(g, 2)
+            try:
+                swept = interval_pm(rep)
+            except IntervalPMError:
+                swept = None
+            assert (swept is None) == (not pms), a
+            with_rep = decide(g, rep)
+            assert with_rep.method != "edmonds", a
+            for d in (decide(g), with_rep):
+                assert d.unique == (len(pms) == 1), (a, d)
+                assert (d.matching is None) == (not pms), (a, d)
+                if d.unique:
+                    assert d.matching == pms[0], (a, d)
+                elif d.witness is not None:
+                    second = d.witness.swapped(d.matching)
+                    assert second != d.matching and verify_pm(g, second), a
+            graphs += 1
+            unique += len(pms) == 1
+    assert graphs == 46_233
+    assert unique == 3_027  # 2,892 at n = 8; the peel empties each one
 
 def test_normalize_makes_endpoints_distinct():
     rep = normalize_endpoints([(0, 5), (0, 3), (3, 5)])

@@ -1,9 +1,10 @@
 """The package surface: every exported name is part of the program."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
-
-import pytest
 
 import unipm
 
@@ -68,10 +69,12 @@ def test_graph_counts_are_never_assigned():
     assert not writes, f"a graph count is assigned at {writes}"
 
 
-def test_decide_is_exported_from_cli():
-    # imported on first use, so `python -m unipm.cli` loads cli once;
-    # the -O subprocess tests in test_cli.py see no double-import warning
-    from unipm import cli
-    assert unipm.decide is cli.decide and unipm.Decision is cli.Decision
-    with pytest.raises(AttributeError):
-        unipm.no_such_name
+def test_decide_is_imported_without_the_cli():
+    # a fresh interpreter: the package exports the decision pipeline
+    # from unipm.decision and never loads its command-line front end
+    code = ("import sys, unipm, unipm.decision\n"
+            "assert 'unipm.cli' not in sys.modules\n"
+            "assert unipm.decide is unipm.decision.decide\n"
+            "assert unipm.Decision is unipm.decision.Decision\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
