@@ -1,7 +1,8 @@
 # Forcing-set elimination: the linear-time decision for cographs and
 # split graphs, and where it stops working.
 
-from unipm import Graph, decide, enumerate_pms, find_forcing_set, is_clique
+from unipm import (Graph, Matching, decide, enumerate_pms, find_forcing_set,
+                   is_clique)
 
 # P4 is bipartite, a path, and elimination walks right through it.  It
 # takes pendants first in, first out: 0 and 3 are queued at the start,
@@ -11,7 +12,7 @@ from unipm import Graph, decide, enumerate_pms, find_forcing_set, is_clique
 p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 cert = find_forcing_set(p4)
 print("P4 elimination order:", cert.forced)
-print("matching:", cert.matching.pairs)
+print("matching:", Matching(cert.forced).pairs)
 
 # C4 never has a degree-1 vertex, and indeed has two matchings.
 c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -23,7 +24,7 @@ paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
 clique, indep = {0, 1, 2}, {3}
 print("\npaw C is a clique:", is_clique(paw, clique))
 cert = find_forcing_set(paw)
-print("paw forcing:", cert.forced, "->", cert.matching.pairs)
+print("paw forcing:", cert.forced, "->", Matching(cert.forced).pairs)
 
 # In a perfect matching of a split graph, S matches into C and the rest
 # of C pairs up inside it; two such clique pairs could swap partners,

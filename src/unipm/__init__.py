@@ -16,9 +16,9 @@ from .interval import (IntervalParseError, IntervalPMError, IntervalRep,
                        intersection_graph, interval_pm, normalize_endpoints,
                        parse_intervals)
 from .clawfree import PmincfStats, pmincf
-from .gclass import (ConstructionTrace, InitStep, Op1Step, Op2Step,
-                     OperationError, apply_op1, apply_op2, decompose,
-                     format_trace, parse_trace, random_gclass, replay)
+from .gclass import (InitStep, Op1Step, Op2Step, OperationError, apply_op1,
+                     apply_op2, decompose, format_trace, parse_trace,
+                     random_gclass, replay)
 from .generators import (clique_chain, cograph_instance, interval_instance,
                          split_instance)
 from .decision import Decision, decide
@@ -36,7 +36,7 @@ __all__ = [
     "intersection_graph", "interval_pm", "normalize_endpoints",
     "parse_intervals",
     "PmincfStats", "pmincf",
-    "ConstructionTrace", "InitStep", "Op1Step", "Op2Step", "OperationError",
+    "InitStep", "Op1Step", "Op2Step", "OperationError",
     "apply_op1", "apply_op2", "decompose", "format_trace", "parse_trace",
     "random_gclass", "replay",
     "clique_chain", "cograph_instance", "interval_instance", "split_instance",

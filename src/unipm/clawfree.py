@@ -10,6 +10,8 @@ at most once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 
 from .graph import Graph, Matching, is_connected
 
@@ -22,7 +24,6 @@ class PmincfStats:
     lm_nb_updates: int = 0
     reseeds: int = 0
     commits: int = 0
-    edge_count: int = 0
 
 
 def pmincf(g: Graph, stats: PmincfStats | None = None,
@@ -51,11 +52,8 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
     n = len(adj)
     removed = bytearray(g.removed)
     # cursors step over dead entries too, so the advances are bounded by
-    # the list lengths of the live vertices: 2m when none is removed.
-    # The edge count is O(n), so it is read once, and only if needed.
-    edges = g.edge_count if live == n or stats is not None else 0
-    bound = 2 * edges if live == n else sum(
-        len(adj[u]) for u in range(n) if not removed[u])
+    # the list lengths of the live vertices: 2m when none is removed
+    bound = sum(map(len, compress(adj, map(not_, removed))))
     cursor = [0] * n
     pos = [-1] * n
     lm_nb = [-1] * n
@@ -168,7 +166,6 @@ def pmincf(g: Graph, stats: PmincfStats | None = None,
             stats.lm_nb_updates += lm_updates
             stats.reseeds += reseeds
             stats.commits += len(pairs)
-            stats.edge_count += edges
     if advances > bound:
         raise RuntimeError("cursor advances exceed the live list lengths")
     return Matching(pairs)

@@ -21,8 +21,8 @@ from .forcing import find_forcing_set
 from .gclass import decompose, format_trace, parse_trace, random_gclass, replay
 from .generators import (clique_chain, cograph_instance, interval_instance,
                          split_instance)
-from .graph import (MAX_VERTICES, Graph, GraphParseError, find_claw,
-                    format_matching, parse_graph, serialize_graph)
+from .graph import (MAX_VERTICES, Graph, GraphParseError, Matching,
+                    find_claw, format_matching, parse_graph, serialize_graph)
 from .interval import IntervalRep, intersection_graph, parse_intervals
 from .uniqueness import enumerate_pms
 
@@ -98,7 +98,7 @@ def _cmd_force(args) -> int:
         return EXIT_NOT_UNIQUE
     _emit("verdict", "unique")
     _emit("forcing_order", " ".join(f"{u},{v}" for u, v in cert.forced))
-    sys.stdout.write(format_matching(cert.matching))
+    sys.stdout.write(format_matching(Matching(cert.forced)))
     return EXIT_OK
 
 
@@ -274,7 +274,11 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader is gone: send the rest, and the exit-time flush, to
         # devnull so that nothing is printed about it
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return EXIT_INPUT
     except ValueError as exc:
         _emit("error", str(exc))

@@ -14,19 +14,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph, Matching
+from .graph import Graph
 
 
 @dataclass(frozen=True)
 class ForcingCertificate:
-    """Elimination order (u_i, v_i) plus the matching it forces.
+    """Elimination order (u_i, v_i); its pairs are the matching it forces.
 
     After deleting the closed neighborhoods of u_1..u_{i-1}, vertex u_i
     has degree exactly 1 and v_i is its sole remaining neighbor.
     """
 
     forced: tuple[tuple[int, int], ...]
-    matching: Matching
 
 
 def find_forcing_set(g: Graph) -> ForcingCertificate | None:
@@ -43,7 +42,7 @@ def find_forcing_set(g: Graph) -> ForcingCertificate | None:
     forced = [(y, x) for x, y, _ in _forced_pairs(work, 1)]
     if work.live_count:
         return None
-    return ForcingCertificate(tuple(forced), Matching(forced))
+    return ForcingCertificate(tuple(forced))
 
 
 def _forced_pairs(g: Graph, bound: int = 2) -> Iterator[tuple[int, int, int]]:

@@ -8,13 +8,13 @@ length two at a clique whose members have clique outside-neighborhoods.
 uniqueness verifier also runs (pendant edges and pendant triangles are
 the endblocks the two operations leave), checks each step it records
 and so certifies membership; ``replay`` rebuilds a graph from its trace
-with full validation.
+(a sequence of steps: InitStep, then Op1Steps and Op2Steps), checked.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .forcing import _forced_pairs
 from .graph import MAX_VERTICES, Graph, _non_adjacent_pair, is_simplicial
@@ -24,21 +24,18 @@ class OperationError(ValueError):
     """An operation precondition is violated."""
 
 
-@dataclass(frozen=True)
-class InitStep:
+class InitStep(NamedTuple):
     u: int
     v: int
 
 
-@dataclass(frozen=True)
-class Op1Step:
+class Op1Step(NamedTuple):
     u: int
     x: int
     y: int
 
 
-@dataclass(frozen=True)
-class Op2Step:
+class Op2Step(NamedTuple):
     clique: tuple[int, ...]
     x: int
     y: int
@@ -47,17 +44,10 @@ class Op2Step:
 Step = InitStep | Op1Step | Op2Step
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
-    """Certified build sequence: one Init then Op1/Op2 steps."""
-
-    steps: tuple[Step, ...]
-
-
-def format_trace(trace: ConstructionTrace) -> str:
+def format_trace(steps: Sequence[Step]) -> str:
     """Text form: "INIT u v", "OP1 u x y", "OP2 x y c1 c2 ..." lines."""
     lines = []
-    for step in trace.steps:
+    for step in steps:
         if isinstance(step, InitStep):
             lines.append(f"INIT {step.u} {step.v}")
         elif isinstance(step, Op1Step):
@@ -67,7 +57,7 @@ def format_trace(trace: ConstructionTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_trace(text: str) -> ConstructionTrace:
+def parse_trace(text: str) -> tuple[Step, ...]:
     """Steps from format_trace's text; blank lines and lines whose first
     token starts with '#' are skipped, and line numbers count them."""
     steps: list[Step] = []
@@ -90,7 +80,7 @@ def parse_trace(text: str) -> ConstructionTrace:
             raise OperationError(f"malformed trace line {lineno}: {raw!r}") from None
     if not steps:
         raise OperationError("empty trace")
-    return ConstructionTrace(tuple(steps))
+    return tuple(steps)
 
 
 def _op2_violation(g: Graph, clique: tuple[int, ...]) -> str | None:
@@ -222,7 +212,7 @@ def _sample_op2_clique(g: Graph, rng: random.Random) -> tuple[int, ...] | None:
 
 
 def random_gclass(steps: int, op2_bias: float = 0.5,
-                  seed: int = 0) -> tuple[Graph, ConstructionTrace]:
+                  seed: int = 0) -> tuple[Graph, tuple[Step, ...]]:
     """Random class member with its certified trace; deterministic per seed.
 
     Each step is the second operation with probability ``op2_bias``,
@@ -263,10 +253,10 @@ def random_gclass(steps: int, op2_bias: float = 0.5,
         simplicial.add(step.y)
         trace.append(step)
         last_y = step.y
-    return g, ConstructionTrace(tuple(trace))
+    return g, tuple(trace)
 
 
-def replay(trace: ConstructionTrace) -> Graph:
+def replay(steps: Sequence[Step]) -> Graph:
     """Rebuild the construction, checking each step's preconditions once.
 
     Vertex ids are taken from the trace verbatim (decomposition traces
@@ -278,7 +268,6 @@ def replay(trace: ConstructionTrace) -> Graph:
     after its step, so present means live and every listed neighbour
     is live, and a step's edges need none of add_edge's checks.
     """
-    steps = trace.steps
     if not steps or not isinstance(steps[0], InitStep):
         raise OperationError("step 0: trace must start with INIT")
     init = steps[0]
@@ -321,8 +310,8 @@ def replay(trace: ConstructionTrace) -> Graph:
     return g
 
 
-def decompose(g: Graph) -> ConstructionTrace | None:
-    """Trace with replay(trace) equal to g, iff g belongs to the class.
+def decompose(g: Graph) -> tuple[Step, ...] | None:
+    """Steps with replay(steps) equal to g, iff g belongs to the class.
 
     Peels endblocks with ``_forced_pairs``: a pendant edge inverts the
     clique operation (C = the cutvertex's other neighbors), a pendant
@@ -351,7 +340,7 @@ def decompose(g: Graph) -> ConstructionTrace | None:
         if i == live // 2 - 1:  # the peel has emptied the graph
             steps.append(InitStep(min(x, y), max(x, y)))
             steps.reverse()
-            return ConstructionTrace(tuple(steps))
+            return tuple(steps)
         if u != -1:
             if _non_adjacent_pair(
                     work, [w for w in adj[u] if not removed[w]]) is not None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 
 from .graph import Graph
-from .gclass import ConstructionTrace, InitStep, Op2Step
+from .gclass import InitStep, Op2Step, Step
 from .interval import IntervalRep
 
 
@@ -82,7 +82,7 @@ def interval_instance(n: int, seed: int) -> IntervalRep:
     return IntervalRep(tuple(intervals))
 
 
-def clique_chain(k: int) -> tuple[Graph, ConstructionTrace]:
+def clique_chain(k: int) -> tuple[Graph, tuple[Step, ...]]:
     """Chain of k pendant-path attachments, each at the previous fresh pair.
 
     Starting from one edge, every step adds x adjacent to the previous
@@ -102,7 +102,7 @@ def clique_chain(k: int) -> tuple[Graph, ConstructionTrace]:
     adj = g.adjacency
     adj[0].append(1)
     adj[1].append(0)
-    steps: list = [InitStep(0, 1)]
+    steps: list[Step] = [InitStep(0, 1)]
     for t in range(1, k + 1):
         x, y = 2 * t, 2 * t + 1
         px, py = 2 * t - 2, 2 * t - 1
@@ -114,4 +114,4 @@ def clique_chain(k: int) -> tuple[Graph, ConstructionTrace]:
         ax.append(y)
         adj[y].append(x)
         steps.append(Op2Step((px, py), x, y))
-    return g, ConstructionTrace(tuple(steps))
+    return g, tuple(steps)

@@ -13,9 +13,8 @@ pair.
 import hashlib
 import random
 
-from unipm import (ConstructionTrace, Graph, InitStep, Op1Step, Op2Step,
-                   apply_op1, apply_op2, decompose, format_trace,
-                   random_gclass, replay)
+from unipm import (Graph, InitStep, Op1Step, Op2Step, apply_op1, apply_op2,
+                   decompose, format_trace, random_gclass, replay)
 from unipm.graph import MAX_VERTICES, _non_adjacent_pair
 
 
@@ -150,12 +149,11 @@ def replay_outcomes():
     rng = random.Random(0x5EED)
     for _ in range(3200):
         _, trace = _member(rng, 24)
-        steps = list(trace.steps)
+        steps = list(trace)
         n = 2 + 2 * (len(steps) - 1)
         for _ in range(rng.choice((1, 1, 1, 2))):
             _mutate(rng, steps, n)
-        yield _outcome(lambda t: _state(replay(t)),
-                       ConstructionTrace(tuple(steps)))
+        yield _outcome(lambda t: _state(replay(t)), tuple(steps))
 
 
 def decompose_outcomes():

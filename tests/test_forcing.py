@@ -18,7 +18,7 @@ from conftest import (C4_EDGES, K4_EDGES, P4_EDGES, SPIDER_EDGES, g_of,
 def test_forcing_p4():
     cert = find_forcing_set(g_of(4, P4_EDGES))
     assert cert is not None
-    assert cert.matching == Matching([(0, 1), (2, 3)])
+    assert Matching(cert.forced) == Matching([(0, 1), (2, 3)])
     # 0 and 3 are queued first; 0's pair drops 2 to degree 1 behind 3's
     # entry, so 3 pops first (FIFO) and 2's entry goes stale
     assert cert.forced == ((0, 1), (3, 2))
@@ -32,7 +32,7 @@ def test_forcing_paw(paw):
     cert = find_forcing_set(paw)
     assert cert is not None
     assert cert.forced == ((3, 0), (1, 2))
-    assert cert.matching == Matching([(0, 3), (1, 2)])
+    assert Matching(cert.forced) == Matching([(0, 3), (1, 2)])
 
 
 def test_forcing_odd_and_isolated():
@@ -42,7 +42,8 @@ def test_forcing_odd_and_isolated():
 
 def test_forcing_empty_graph():
     cert = find_forcing_set(Graph(0))
-    assert cert is not None and cert.forced == () and len(cert.matching) == 0
+    assert cert is not None and cert.forced == ()
+    assert len(Matching(cert.forced)) == 0
 
 
 def test_forcing_does_not_mutate(paw):
@@ -106,7 +107,7 @@ def test_forcing_sound_and_replayable(n, seed):
     if cert is None:
         return
     assert len(cert.forced) * 2 == g.live_count
-    assert is_unique_pm(g, cert.matching) is None
+    assert is_unique_pm(g, Matching(cert.forced)) is None
     _replay_certificate(g, cert)
 
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipm import (ConstructionTrace, Graph, InitStep, Matching, Op1Step,
-                   Op2Step, OperationError, apply_op1, apply_op2, decompose,
+from unipm import (Graph, InitStep, Matching, Op1Step, Op2Step,
+                   OperationError, apply_op1, apply_op2, decompose,
                    enumerate_pms, find_bridges, find_claw, format_trace,
                    is_connected, is_unique_pm, parse_trace, pmincf,
                    random_gclass, replay, verify_pm)
@@ -80,8 +80,7 @@ def test_op2_rejects_invalid():
 # ----------------------------------------------------------------- traces
 
 def test_trace_text_roundtrip():
-    trace = ConstructionTrace((InitStep(0, 1), Op1Step(0, 2, 3),
-                               Op2Step((2, 3), 4, 5)))
+    trace = (InitStep(0, 1), Op1Step(0, 2, 3), Op2Step((2, 3), 4, 5))
     text = format_trace(trace)
     assert text == "INIT 0 1\nOP1 0 2 3\nOP2 4 5 2 3\n"
     assert parse_trace(text) == trace
@@ -123,41 +122,40 @@ def test_trace_parse_error_messages(text, message):
 
 def test_trace_parse_skips_comments_and_spacing():
     text = "# built by hand\n\n  INIT 3 1 \n\t# op1\nOP1 1\t4 5\nOP2 6 7   5\n"
-    assert parse_trace(text) == ConstructionTrace(
-        (InitStep(3, 1), Op1Step(1, 4, 5), Op2Step((5,), 6, 7)))
+    assert parse_trace(text) == (InitStep(3, 1), Op1Step(1, 4, 5),
+                                 Op2Step((5,), 6, 7))
 
 
 # ----------------------------------------------------------------- replay
 
 def test_replay_init_only():
-    g = replay(ConstructionTrace((InitStep(0, 1),)))
+    g = replay((InitStep(0, 1),))
     assert g.live_edges() == [(0, 1)]
 
 
 def test_replay_paw():
-    g = replay(ConstructionTrace((InitStep(0, 1), Op1Step(0, 2, 3))))
+    g = replay((InitStep(0, 1), Op1Step(0, 2, 3)))
     assert g.live_edges() == [(0, 1), (0, 2), (0, 3), (2, 3)]
 
 
 def test_replay_second_op1_on_old_vertex():
     # after Op1 at 0, vertex 1 still has the single neighbor 0
-    g = replay(ConstructionTrace((InitStep(0, 1), Op1Step(0, 2, 3),
-                                  Op1Step(1, 4, 5))))
+    g = replay((InitStep(0, 1), Op1Step(0, 2, 3), Op1Step(1, 4, 5)))
     assert g.live_count == 6
     assert find_claw(g) is None
 
 
 def test_replay_names_failing_step():
-    bad = ConstructionTrace((InitStep(0, 1), Op1Step(0, 2, 3),
-                             Op1Step(0, 4, 5)))  # 0 no longer simplicial
+    bad = (InitStep(0, 1), Op1Step(0, 2, 3),
+           Op1Step(0, 4, 5))  # 0 no longer simplicial
     with pytest.raises(OperationError, match="step 2"):
         replay(bad)
     with pytest.raises(OperationError, match="step 1: vertex 7 not yet"):
-        replay(ConstructionTrace((InitStep(0, 1), Op1Step(7, 2, 3))))
+        replay((InitStep(0, 1), Op1Step(7, 2, 3)))
     with pytest.raises(OperationError, match="must start with INIT"):
-        replay(ConstructionTrace((Op1Step(0, 1, 2),)))
+        replay((Op1Step(0, 1, 2),))
     with pytest.raises(OperationError, match="twice"):
-        replay(ConstructionTrace((InitStep(0, 1), Op1Step(0, 1, 2))))
+        replay((InitStep(0, 1), Op1Step(0, 1, 2)))
 
 
 @pytest.mark.parametrize("steps", [
@@ -167,7 +165,7 @@ def test_replay_names_failing_step():
 def test_replay_rejects_reused_ids_before_any_step(steps):
     # the one up-front check covers INIT's own pair and every fresh x, y
     with pytest.raises(OperationError) as exc:
-        replay(ConstructionTrace(steps))
+        replay(steps)
     assert str(exc.value) == "trace introduces a vertex twice"
 
 
@@ -204,19 +202,19 @@ def test_generator_rejects_bias_outside_unit_interval(bias):
 def test_generator_accepts_bias_bounds():
     _, only_op1 = random_gclass(5, op2_bias=0, seed=2)
     _, only_op2 = random_gclass(5, op2_bias=1, seed=2)
-    assert all(isinstance(s, Op1Step) for s in only_op1.steps[1:])
-    assert all(isinstance(s, Op2Step) for s in only_op2.steps[1:])
+    assert all(isinstance(s, Op1Step) for s in only_op1[1:])
+    assert all(isinstance(s, Op2Step) for s in only_op2[1:])
 
 
 def test_generator_zero_steps():
     g, trace = random_gclass(0, seed=1)
     assert g.live_edges() == [(0, 1)]
-    assert trace == ConstructionTrace((InitStep(0, 1),))
+    assert trace == (InitStep(0, 1),)
 
 
 def test_generator_op1_only_single_step():
     g, trace = random_gclass(1, op2_bias=0.0, seed=3)
-    assert isinstance(trace.steps[1], Op1Step)
+    assert isinstance(trace[1], Op1Step)
     assert g.live_count == 4
     assert len(enumerate_pms(g, 2)) == 1  # paw-shaped
 
@@ -234,15 +232,15 @@ def test_generator_trace_replays():
 def test_decompose_paw(paw):
     trace = decompose(paw)
     assert trace is not None
-    assert trace.steps[0] == InitStep(0, 3)
-    assert trace.steps[1] == Op1Step(0, 1, 2)
+    assert trace[0] == InitStep(0, 3)
+    assert trace[1] == Op1Step(0, 1, 2)
     assert replay(trace).live_edges() == paw.live_edges()
 
 
 def test_decompose_p4():
     trace = decompose(g_of(4, P4_EDGES))
     assert trace is not None
-    assert isinstance(trace.steps[1], Op2Step)
+    assert isinstance(trace[1], Op2Step)
     assert replay(trace).live_edges() == g_of(4, P4_EDGES).live_edges()
 
 
@@ -271,8 +269,7 @@ def test_decompose_rejects_big_endblock_after_peeling():
 
 
 def test_decompose_triangle_chain_replays():
-    g = replay(ConstructionTrace((InitStep(0, 1), Op1Step(1, 2, 3),
-                                  Op1Step(3, 4, 5))))
+    g = replay((InitStep(0, 1), Op1Step(1, 2, 3), Op1Step(3, 4, 5)))
     trace = decompose(g)
     assert trace is not None
     r = replay(trace)
@@ -361,7 +358,7 @@ def test_matched_bridge_along_decomposition(paw):
         trace = decompose(g)
         assert trace is not None
         work = g.copy()
-        for step in reversed(trace.steps[1:]):
+        for step in reversed(trace[1:]):
             (m,) = enumerate_pms(work, 2)
             assert (step.x, step.y) in m
             if isinstance(step, Op2Step):

@@ -93,7 +93,7 @@ def test_clique_chain_equals_edge_list_build(k):
     assert g.removed == want.removed
     assert (g.live_count, g.edge_count) == (want.live_count, want.edge_count)
     g.check_symmetry()
-    assert len(trace.steps) == k + 1
+    assert len(trace) == k + 1
 
 
 def test_clique_chain_matching_is_the_fresh_pairs():

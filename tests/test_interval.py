@@ -245,6 +245,20 @@ def test_decide_refuses_a_representation_of_another_order():
         decide(Graph(3), rep)
 
 
+def test_decide_checks_the_representation_of_a_stuck_sweep():
+    # disjoint intervals of the right order, but not g's: the sweep gets
+    # stuck, an edge of g does not overlap in rep, and Edmonds decides g
+    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    d = decide(c4, IntervalRep(((1, 2), (3, 4), (5, 6), (7, 8))))
+    assert (d.method, d.unique) == ("edmonds", False)
+    assert d.witness.cycle == (0, 1, 2, 3, 0)
+    g = intersection_graph(left_order_rep((2, 2, 2, 2, 0, 3, 1, 2, 1, 0)))
+    disjoint = IntervalRep(tuple((2 * v, 2 * v + 1) for v in range(10)))
+    d = decide(g, disjoint)
+    assert (d.method, d.unique) == ("edmonds", True)
+    assert d.matching == Matching([(0, 1), (2, 4), (3, 5), (6, 7), (8, 9)])
+
+
 def test_every_interval_graph_up_to_8_vertices():
     """Every interval graph on 1..8 vertices, as a left-order vector a
     with 0 <= a_i <= n - 1 - i (n! of them for each n): decide with and
